@@ -58,15 +58,13 @@ def run_suite(suite: Suite, config: AbstractionConfig,
               program: Program | None = None,
               max_preds: int = 10, jobs: int = 1,
               cache_dir: str | None = None,
-              self_check: bool = False, parallel=None) -> SuiteRun:
+              self_check: bool = False) -> SuiteRun:
     """Analyze every generated function of a suite under one configuration.
 
     ``cache_dir`` warm-starts the sweep from the persistent analysis
     cache; hit/miss counters land in ``SuiteRun.pcache``.
     ``self_check`` certificate-checks every solver answer of the sweep
     (CertificateError on any rejection).
-    ``parallel`` (spec string or ParallelConfig) turns on intra-query
-    parallel solving; verdicts and warnings are unchanged.
     """
     prog = program if program is not None else compile_suite(suite)
     names = [f.name for f in suite.functions]
@@ -74,8 +72,7 @@ def run_suite(suite: Suite, config: AbstractionConfig,
     report = analyze_program(prog, config=config, prune_k=prune_k,
                              timeout=timeout, proc_names=names,
                              max_preds=max_preds, jobs=jobs,
-                             cache_dir=cache_dir, self_check=self_check,
-                             parallel=parallel)
+                             cache_dir=cache_dir, self_check=self_check)
     run = SuiteRun(suite_name=suite.name, config_name=config.name,
                    prune_k=prune_k, n_procs=len(names))
     run.wall_seconds = time.monotonic() - t0

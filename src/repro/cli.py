@@ -100,15 +100,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--triage", action="store_true",
                     help="run every configuration plus the doomed-point "
                          "check and print one confidence-ordered list")
-    ap.add_argument("--parallel-query", nargs="?", const="auto",
-                    default=None, metavar="MODE[:N]",
-                    help="race hard solver queries across N worker "
-                         "processes (portfolio of diversified configs "
-                         "plus cube-and-conquer with shared learnt "
-                         "clauses).  MODE is auto, portfolio or cubes; "
-                         "queries below the admission threshold stay "
-                         "sequential.  Verdicts and reports are "
-                         "identical with the flag on or off")
     return ap
 
 
@@ -229,10 +220,6 @@ def build_submit_parser() -> argparse.ArgumentParser:
     ap.add_argument("--self-check", action="store_true",
                     help="certificate-check every solver answer (exit 3 on "
                          "any rejection, as in batch mode)")
-    ap.add_argument("--parallel-query", nargs="?", const="auto",
-                    default=None, metavar="MODE[:N]",
-                    help="race hard solver queries across worker processes "
-                         "inside each server worker (auto|portfolio|cubes)")
     ap.add_argument("--show-cons", action="store_true",
                     help="also print the conservative verifier's warnings")
     return ap
@@ -466,9 +453,7 @@ def run_submit(argv: list[str], out=sys.stdout) -> int:
                 source, lang="c" if args.c_mode else "boogie",
                 config=config.name, procs=procs, prune_k=args.prune_k,
                 timeout=args.timeout, unroll=args.unroll,
-                self_check=args.self_check,
-                parallel=getattr(args, "parallel_query", None),
-                deadline=args.deadline)
+                self_check=args.self_check, deadline=args.deadline)
             proc_names = [r.proc_name for r in rep.reports]
             for r in rep.reports:
                 by_key[(r.proc_name, config.name)] = r
@@ -568,14 +553,6 @@ def run(argv: list[str] | None = None, out=sys.stdout) -> int:
 
     cache_dir = None if args.no_cache else args.cache_dir
 
-    if getattr(args, "parallel_query", None) is not None:
-        from .smt.parallel import parse_parallel_spec
-        try:
-            parse_parallel_spec(args.parallel_query)
-        except ValueError as exc:
-            print(f"error: --parallel-query: {exc}", file=sys.stderr)
-            return 2
-
     from .smt.api import CertificateError
 
     if args.triage:
@@ -616,8 +593,7 @@ def run(argv: list[str] | None = None, out=sys.stdout) -> int:
                 program, config=config, prune_k=args.prune_k,
                 timeout=args.timeout, unroll_depth=args.unroll,
                 proc_names=proc_names, jobs=args.jobs, cache_dir=cache_dir,
-                self_check=args.self_check,
-                parallel=getattr(args, "parallel_query", None))
+                self_check=args.self_check)
             for r in rep.reports:
                 by_key[(r.proc_name, config.name)] = r
     except CertificateError as exc:

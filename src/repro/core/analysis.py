@@ -152,8 +152,7 @@ def analyze_procedure(program: Program, proc_name: str,
                       max_preds: int = 12,
                       lia_budget: int = 20000,
                       cache: AnalysisCache | str | None = None,
-                      self_check: bool = False,
-                      parallel=None
+                      self_check: bool = False
                       ) -> ProcedureReport:
     """Analyze one procedure; budget exhaustion yields ``timed_out``.
 
@@ -167,16 +166,7 @@ def analyze_procedure(program: Program, proc_name: str,
     rejected certificate raises :class:`repro.smt.api.CertificateError`
     (it is deliberately *not* absorbed as a timeout).  Cache hits skip
     solving entirely and are returned as-is.
-
-    ``parallel`` (a :class:`repro.smt.parallel.ParallelConfig`, a spec
-    string like ``"auto:4"``, or None) enables the intra-query
-    portfolio/cube race.  It is a pure performance knob: verdicts, and
-    therefore reports, are identical with it on or off, so it does not
-    enter the cache key.
     """
-    if isinstance(parallel, str):
-        from ..smt.parallel import parse_parallel_spec
-        parallel = parse_parallel_spec(parallel)
     cache = AnalysisCache.open(cache)
     start = time.monotonic()
     prepared = None
@@ -198,8 +188,7 @@ def analyze_procedure(program: Program, proc_name: str,
         res = find_abstract_sibs(
             program, proc_name, config=config, prune_k=prune_k,
             budget=budget, unroll_depth=unroll_depth, max_preds=max_preds,
-            lia_budget=lia_budget, prepared=prepared, self_check=self_check,
-            parallel=parallel)
+            lia_budget=lia_budget, prepared=prepared, self_check=self_check)
         report.status = res.status
         report.warnings = res.warnings
         report.conservative_warnings = res.conservative_warnings
@@ -269,8 +258,7 @@ def analyze_program(program: Program,
                     proc_names: list[str] | None = None,
                     jobs: int = 1,
                     cache_dir: str | None = None,
-                    self_check: bool = False,
-                    parallel=None) -> ProgramReport:
+                    self_check: bool = False) -> ProgramReport:
     """Analyze every procedure with a body.
 
     ``jobs > 1`` distributes procedures over that many worker processes;
@@ -289,8 +277,7 @@ def analyze_program(program: Program,
                           config_name=config.name, prune_k=prune_k,
                           timeout=timeout, unroll_depth=unroll_depth,
                           max_preds=max_preds, lia_budget=lia_budget,
-                          cache_dir=cache_dir, self_check=self_check,
-                          parallel=parallel)
+                          cache_dir=cache_dir, self_check=self_check)
              for name in names]
     results = run_tasks(tasks, jobs=jobs)
     for res in results:

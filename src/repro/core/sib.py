@@ -87,8 +87,7 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
                        max_preds: int = 12,
                        lia_budget: int = 20000,
                        prepared: Procedure | None = None,
-                       self_check: bool = False,
-                       parallel=None) -> SibResult:
+                       self_check: bool = False) -> SibResult:
     """Run Algorithm 1 for one procedure under one configuration.
 
     ``prune_k`` is the §4.3 clause-pruning bound (None = no pruning).
@@ -99,9 +98,6 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
     unroll_depth)``.
     ``self_check`` certificate-checks every solver answer
     (:class:`repro.smt.api.CertificateError` on rejection).
-    ``parallel`` (a :class:`repro.smt.parallel.ParallelConfig` or None)
-    races hard oracle queries across portfolio/cube worker processes;
-    verdicts — and therefore reports — are unchanged.
     Budget exhaustion raises :class:`repro.core.deadfail.AnalysisTimeout`.
     """
     if isinstance(proc, str):
@@ -121,19 +117,8 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
                                      unroll_depth=unroll_depth)
     mark("lower")
     enc = EncodedProcedure(program, prepared, lia_budget=lia_budget,
-                           self_check=self_check, parallel=parallel)
+                           self_check=self_check)
     mark("encode")
-    try:
-        return _find_abstract_sibs(program, proc, config, prune_k, budget,
-                                   max_preds, enc, prepared, timings, mark)
-    finally:
-        # release the intra-query worker processes (no-op when parallel
-        # is off); a sweep over many procedures must not accumulate them
-        enc.solver.close()
-
-
-def _find_abstract_sibs(program, proc, config, prune_k, budget, max_preds,
-                        enc, prepared, timings, mark) -> SibResult:
     preds = mine_predicates(program, prepared,
                             ignore_conditionals=config.ignore_conditionals,
                             max_preds=max_preds)

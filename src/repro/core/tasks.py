@@ -63,9 +63,6 @@ class AnalysisTask:
     lia_budget: int = 20000
     cache_dir: str | None = None
     self_check: bool = False
-    #: Intra-query parallel solving: a spec string ("auto", "cubes:4",
-    #: ...) or a repro.smt.parallel.ParallelConfig; None = sequential.
-    parallel: Any = None
     payload: Any = None  # control-kind argument (echo value, sleep secs)
 
 
@@ -129,7 +126,7 @@ def _dispatch(task: AnalysisTask) -> TaskResult:
             prune_k=task.prune_k, timeout=task.timeout,
             unroll_depth=task.unroll_depth, max_preds=task.max_preds,
             lia_budget=task.lia_budget, cache=cache,
-            self_check=task.self_check, parallel=task.parallel)
+            self_check=task.self_check)
         return TaskResult(kind="analyze", proc_name=task.proc_name,
                           report=report,
                           cache_stats=cache.stats() if cache else None)
@@ -230,7 +227,6 @@ def task_keys(task: AnalysisTask) -> tuple[str, str | None]:
         raise ValueError(f"unknown task kind {task.kind!r}")
     budget = (f"kind={task.kind};timeout={task.timeout};"
               f"lia_budget={task.lia_budget};self_check={task.self_check};"
-              f"parallel={task.parallel!r};"
               f"cache={'on' if task.cache_dir else 'off'}")
     return hashlib.sha256(f"{base}\x00{budget}".encode()).hexdigest(), base
 

@@ -169,7 +169,7 @@ class ServeClient:
                procs: list[str] | None = None, prune_k: int | None = None,
                timeout: float | None = 10.0, unroll: int = 2,
                max_preds: int = 12, lia_budget: int = 20000,
-               self_check: bool = False, parallel: str | None = None,
+               self_check: bool = False,
                deadline: float | None = None) -> dict:
         """Submit one program; honors ``overloaded`` backpressure with
         capped exponential backoff over the server's ``retry_after``
@@ -179,8 +179,6 @@ class ServeClient:
                       prune_k=prune_k, timeout=timeout, unroll=unroll,
                       max_preds=max_preds, lia_budget=lia_budget,
                       self_check=self_check)
-        if parallel is not None:
-            fields["parallel"] = parallel
         if procs is not None:
             fields["procs"] = procs
         if deadline is not None:

@@ -61,18 +61,9 @@ class PoolClosedError(RuntimeError):
     """submit() after close()/drain() began."""
 
 
-def _worker_main(conn, parallel_slots: int = 1) -> None:
+def _worker_main(conn) -> None:
     """Body of one worker process: handshake, then a task loop.  Runs
-    until the parent sends ``None`` or the pipe dies.
-
-    ``parallel_slots`` is this worker's share of the machine's cores:
-    tasks running with intra-query parallel solving (``--parallel-query``)
-    spawn *nested* solver processes, and without the cap a pool of N
-    workers each racing M solvers would oversubscribe the host N-fold.
-    The cap is published through the environment knob read by
-    `repro.smt.parallel.available_slots`.
-    """
-    os.environ.setdefault("REPRO_PARALLEL_SLOTS", str(max(1, parallel_slots)))
+    until the parent sends ``None`` or the pipe dies."""
     from repro.core.tasks import run_task  # absolute: spawn re-imports
     conn.send(("ready", os.getpid()))
     while True:
@@ -272,12 +263,7 @@ class WorkerPool:
 
     def _spawn(self, slot: _Slot) -> None:
         parent_conn, child_conn = _MP.Pipe(duplex=True)
-        # Nested-core accounting: the machine's cores are divided evenly
-        # between the pool seats so intra-query parallel solving inside a
-        # worker cannot oversubscribe the host (see _worker_main).
-        slots_each = max(1, (os.cpu_count() or 1) // self.size)
-        proc = _MP.Process(target=_worker_main,
-                           args=(child_conn, slots_each),
+        proc = _MP.Process(target=_worker_main, args=(child_conn,),
                            name=f"repro-serve-worker-{slot.index}",
                            daemon=True)
         proc.start()

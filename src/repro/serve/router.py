@@ -65,7 +65,7 @@ from .server import MAX_FINISHED_REQUESTS, _parse, _safe_keys
 #: router adds its own ``procs`` subset per shard).
 _FORWARD_FIELDS = ("source", "lang", "kind", "config", "prune_k", "timeout",
                    "unroll", "max_preds", "lia_budget", "self_check",
-                   "parallel", "deadline")
+                   "deadline")
 
 
 class ReplicaDeadError(RuntimeError):
@@ -313,8 +313,7 @@ class RouterServer:
             max_preds=int(msg.get("max_preds", 12)),
             lia_budget=int(msg.get("lia_budget", 20000)),
             cache_dir=self.cache_dir,
-            self_check=bool(msg.get("self_check", False)),
-            parallel=msg.get("parallel"))
+            self_check=bool(msg.get("self_check", False)))
             for name in proc_names]
         keys = await asyncio.to_thread(
             lambda: [_safe_keys(t)[0] for t in tasks])

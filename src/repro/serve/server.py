@@ -324,8 +324,7 @@ class AnalysisServer:
             unroll_depth=unroll, max_preds=int(msg.get("max_preds", 12)),
             lia_budget=int(msg.get("lia_budget", 20000)),
             cache_dir=self.cache_dir,
-            self_check=bool(msg.get("self_check", False)),
-            parallel=msg.get("parallel"))
+            self_check=bool(msg.get("self_check", False)))
             for name in proc_names]
 
         self._requests[req.id] = req

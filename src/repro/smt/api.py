@@ -47,22 +47,12 @@ class CertificateError(SolverError):
 
 class Solver:
     def __init__(self, factory: TermFactory | None = None,
-                 lia_budget: int = 20000, validate: bool = False,
-                 parallel=None):
+                 lia_budget: int = 20000, validate: bool = False):
         self.factory = factory if factory is not None else TermFactory()
         self.sat = SatSolver()
         self.cnf = CnfBuilder(self.factory, self.sat)
         self.theory = TheoryCore(self.factory, self.cnf, lia_budget=lia_budget)
         self.sat.theory = self.theory
-        # Intra-query parallel mode (repro.smt.parallel): when a
-        # ParallelConfig is attached, every public mutation below is
-        # recorded so worker processes can replay the solver state, and
-        # check() escalates hard queries to a portfolio/cube race.
-        self._par_ctx = None
-        if parallel is not None:
-            from .parallel import ParallelContext
-            self._par_ctx = ParallelContext(parallel, validate=validate,
-                                            lia_budget=lia_budget)
         self._last_result: str | None = None
         # Self-checking mode: every "unsat" answer must carry a DRUP-style
         # proof accepted by repro.smt.proofcheck, and every "sat" answer a
@@ -74,8 +64,7 @@ class Solver:
         self.last_model = None  # repro.smt.model.Model after a validated sat
         self.certificates = {"sat_checked": 0, "unsat_checked": 0,
                              "proof_steps": 0, "lemmas_checked": 0,
-                             "lemmas_trusted": 0, "lemmas_shared": 0,
-                             "check_wall": 0.0}
+                             "lemmas_trusted": 0, "check_wall": 0.0}
         self._proof_checker = None
         self._proof_pos = 0
         if validate:
@@ -86,8 +75,8 @@ class Solver:
             # justification with every lemma (repro.smt.certify), the SAT
             # core attaches it to the "t" proof step, and the checker
             # rejects any unjustified lemma instead of trusting it.
-            # Deferred verification batches the per-lemma math so flush()
-            # can fan it out across processes.
+            # Deferred verification checks the per-lemma math in one
+            # flush() per check, after the RUP pass.
             self._checked_lemmas = TUNING.checked_theory_lemmas
             self._proof_checker = DrupChecker(
                 require_justified=self._checked_lemmas, defer=True)
@@ -127,23 +116,15 @@ class Solver:
                 # also cross-checks store elimination and ite purification.
                 self._asserted.append(fm)
             self.cnf.assert_formula(self._prepare(fm))
-            if self._par_ctx is not None:
-                self._par_ctx.record("add", term=fm)
 
     def lit_for(self, formula: Term) -> int:
         """A SAT literal equisatisfiable with ``formula`` (definitions added)."""
         self.sat._backjump(0)
-        lit = self.cnf.lit_for(self._prepare(formula))
-        if self._par_ctx is not None:
-            self._par_ctx.record("lit", term=formula, expect=lit)
-        return lit
+        return self.cnf.lit_for(self._prepare(formula))
 
     def new_indicator(self) -> int:
         """A fresh boolean indicator literal for guarded assertions."""
-        v = self.sat.new_var()
-        if self._par_ctx is not None:
-            self._par_ctx.record("ind", expect=v)
-        return v
+        return self.sat.new_var()
 
     def add_guarded(self, indicator: int, formula: Term) -> None:
         """Assert ``indicator -> formula``; enable it by assuming
@@ -152,17 +133,12 @@ class Solver:
         if self.validate:
             self._guarded.setdefault(indicator, []).append(formula)
         self.cnf.assert_implication(indicator, self._prepare(formula))
-        if self._par_ctx is not None:
-            self._par_ctx.record("guard", term=formula, expect=indicator)
 
     def add_clause_lits(self, lits: Iterable[int]) -> None:
         """Add a raw clause over already-created literals (used by ALL-SAT
         blocking)."""
         self.sat._backjump(0)
-        lits = list(lits)
-        self.sat.add_clause(lits)
-        if self._par_ctx is not None:
-            self._par_ctx.record("raw", lits=lits)
+        self.sat.add_clause(list(lits))
 
     # ------------------------------------------------------------------
     # solving
@@ -170,31 +146,13 @@ class Solver:
 
     def stats(self) -> dict:
         """Combined search + theory counters (SAT core counters, theory
-        timings, incrementality/lemma-cache hit counts, and — when the
-        parallel mode is on — the portfolio/cube race counters; the
-        workers' ``clauses_imported`` are folded into the parent's)."""
+        timings, incrementality/lemma-cache hit counts)."""
         out = self.sat.stats()
         out.update(self.theory.stats())
-        if self._par_ctx is not None:
-            for k, v in self._par_ctx.stats().items():
-                out[k] = out.get(k, 0) + v
         return out
 
-    def close(self) -> None:
-        """Release external resources (parallel worker processes)."""
-        if self._par_ctx is not None:
-            self._par_ctx.close()
-
     def check(self, assumptions: Sequence[int] = ()) -> str:
-        if self._par_ctx is not None:
-            out = self._check_parallel(list(assumptions))
-            if out is not None:
-                return out
-        return self._finish_check(self.sat.solve(assumptions))
-
-    def _finish_check(self, res: bool) -> str:
-        """Certificate handling shared by the sequential and parallel
-        paths; ``res`` is the parent solver's own verdict."""
+        res = self.sat.solve(assumptions)
         self._last_result = "sat" if res else "unsat"
         if self.validate:
             self._replay_proof()
@@ -205,85 +163,20 @@ class Solver:
                 self.certificates["unsat_checked"] += 1
         return self._last_result
 
-    def _check_parallel(self, assumptions: list[int]) -> str | None:
-        """Try to decide the query with the parallel subsystem.
-
-        Returns the verdict string, or None when the query was not
-        admitted (too small) — the caller then runs the ordinary
-        sequential path.  Admitted queries first run a sequential probe
-        with a conflict budget; only still-open ("hard") queries pay the
-        worker fork cost.
-        """
-        ctx = self._par_ctx
-        cfg = ctx.cfg
-        if ctx._nworkers < 2:
-            return None  # single-slot budget: parallelism disabled
-        if len(self.sat._clauses) + len(self.sat._learnts) < cfg.min_clauses:
-            return None
-        probe = self.sat.solve_limited(assumptions, cfg.probe_conflicts)
-        if probe is not None:
-            ctx.probe_decided += 1
-            return self._finish_check(probe)
-        ctx.parallel_queries += 1
-        outcome = ctx.race(self.sat, list(assumptions))
-        if outcome is None:
-            # No worker could answer (all crashed/desynced/timed out):
-            # finish sequentially — correctness never depends on workers.
-            ctx.fallbacks += 1
-            return self._finish_check(self.sat.solve(assumptions))
-        kind, payload = outcome
-        if kind == "sat":
-            # Adopt the winner's model as branching phases and re-solve
-            # sequentially: decisions then follow a genuine model, so the
-            # parent converges almost conflict-free and ends holding its
-            # *own* model (witness extraction reads parent state), with
-            # the sequential trust story intact.
-            for lit in payload.get("model", ()):
-                v = abs(lit)
-                if v <= self.sat.nvars:
-                    self.sat._phase[v] = lit > 0
-            return self._finish_check(self.sat.solve(assumptions))
-        # unsat: adopt the worker's verdict and core directly.  The core
-        # is valid for the parent because the clause database is a replica
-        # and learnt clauses are consequences of the database alone.  The
-        # winning worker validated its own DRUP certificate inline (same
-        # machinery as sequential validate mode) before answering.
-        core = [l for l in payload.get("core", ())]
-        self.sat.core = sorted(set(core), key=abs)
-        self._last_result = "unsat"
-        if self.validate:
-            # Keep the incremental parent checker in sync with the proof
-            # steps the admission probe produced (they are RUP and final-
-            # step-free; the worker's own log carried the final clause).
-            self._replay_proof(require_final=False)
-            certs = payload.get("certificates") or {}
-            self.certificates["unsat_checked"] += 1
-            for k in ("proof_steps", "lemmas_checked", "lemmas_trusted",
-                      "lemmas_shared", "check_wall"):
-                self.certificates[k] += certs.get(k, 0)
-        return self._last_result
-
     # ------------------------------------------------------------------
     # certificates (validate mode)
     # ------------------------------------------------------------------
 
-    def _replay_proof(self, require_final: bool = True) -> None:
+    def _replay_proof(self) -> None:
         """Feed the proof-log suffix since the previous check into the
         standalone checker.  Each learnt clause is verified RUP; an UNSAT
-        answer additionally ends in a verified final clause
-        (``require_final=False`` skips that terminal demand — used when a
-        parallel worker, not the parent log, carried the final clause)."""
+        answer additionally ends in a verified final clause."""
         from .proofcheck import ProofError
         checker = self._proof_checker
-        # Shared-clause justifications are only legal inside a parallel
-        # worker (the arbiter cross-checks the digests); a sequential
-        # solver must never see one.
-        checker.allow_shared = self.sat.share is not None
         log = self.sat.proof
         steps = log.steps
         t0 = _now()
-        prev = (checker.theory_checked, checker.theory_trusted,
-                checker.theory_shared)
+        prev = (checker.theory_checked, checker.theory_trusted)
         while self._proof_pos < len(steps):
             step = steps[self._proof_pos]
             tag, lits = step[0], step[1]
@@ -304,9 +197,8 @@ class Solver:
         certs = self.certificates
         certs["lemmas_checked"] += checker.theory_checked - prev[0]
         certs["lemmas_trusted"] += checker.theory_trusted - prev[1]
-        certs["lemmas_shared"] += checker.theory_shared - prev[2]
         certs["check_wall"] += _now() - t0
-        if self._last_result == "unsat" and require_final:
+        if self._last_result == "unsat":
             if not steps or steps[-1][0] != "f":
                 raise CertificateError(
                     "unsat answer carries no final proof clause")

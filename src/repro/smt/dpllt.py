@@ -143,11 +143,6 @@ class TheoryCore(TheoryInterface):
         self._pending_just: dict[frozenset, tuple] = {}
         self.lemmas_replayed = 0
         self.timings = {"euf": 0.0, "lia": 0.0, "interface": 0.0}
-        # Optional cancellation heartbeat (set by parallel workers): a
-        # zero-argument callable invoked at every theory-check entry; it
-        # may raise SolveCancelled so a losing portfolio worker stops
-        # promptly even inside long LIA checks.
-        self.poll = None
 
     def stats(self) -> dict:
         """Theory-side counters, merged into the solver stats by api.py."""
@@ -230,8 +225,6 @@ class TheoryCore(TheoryInterface):
         self.timings["euf"] += _now() - t0
 
     def check(self, final: bool) -> list[list[int]]:
-        if self.poll is not None:
-            self.poll()
         if not self._incremental:
             return self._check_legacy(final)
         key = None

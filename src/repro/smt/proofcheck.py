@@ -36,7 +36,7 @@ literals is T-unsatisfiable, so every justification is a refutation of
 a *premise set*: pairs ``(lit, atom)`` asserting the theory atom
 ``atom`` (an s-expression, below) with the sign of ``lit``.  Soundness
 requires only that ``-lit`` appears in the lemma clause for every
-premise literal — extra clause literals are a sound weakening.  Three
+premise literal — extra clause literals are a sound weakening.  Two
 justification kinds exist:
 
 ``("euf", premises, steps, concl)``
@@ -68,12 +68,6 @@ justification kinds exist:
     and both branch scripts must refute.  The script succeeds when a
     derived row is an outright contradiction (``0 < 0``-shaped).
 
-``("shared", digest)``
-    A clause imported from another solver in a parallel race.  Only
-    accepted when the checker runs with ``allow_shared`` (i.e. inside a
-    parallel worker); the arbiter separately cross-checks the digests a
-    winner imported against the set it actually broadcast.
-
 Term s-expressions are hashable nested tuples built from ``("int",
 k)``, ``("var", name, sort)``, ``("apply", name, *args)``, ``("select",
 m, k)``, ``("store", m, k, v)`` and generic operators ``(op, *args)``.
@@ -83,17 +77,6 @@ binds one variable to two different atoms.  (The binding of variables
 to atoms is established by the CNF layer and certified on the
 satisfiable side by model re-evaluation; the justification machinery
 closes the per-lemma *theory reasoning* gap.)
-
-Streaming and parallel checking
--------------------------------
-
-The RUP pass is inherently sequential (each step checks against the
-database so far), but justification verification is pure per-lemma
-once the atom registry has been updated, so a checker constructed with
-``defer=True`` admits lemmas inline and queues the justification math;
-:meth:`DrupChecker.flush` verifies the queue, chunked across a process
-pool when it is large enough to pay for one.  Callers must flush
-before trusting a verdict.
 
 The checker is *incremental*: one :class:`DrupChecker` can consume the
 suffix of a long-lived solver's log after each ``solve()`` call, so the
@@ -113,7 +96,6 @@ from __future__ import annotations
 
 import ast
 import math
-import os
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -501,53 +483,6 @@ def verify_justification(lits: Sequence[int], just) -> None:
         raise ProofError(f"malformed theory justification: {exc!r}") from None
 
 
-# ----------------------------------------------------------------------
-# chunked multiprocess verification
-# ----------------------------------------------------------------------
-
-#: Queue length below which deferred justifications are verified inline —
-#: a process pool only pays for itself on proof-sized batches.
-PARALLEL_THRESHOLD = 96
-
-_POOL = None
-_POOL_SIZE = 0
-
-
-def _slots() -> int:
-    env = os.environ.get("REPRO_PARALLEL_SLOTS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _verify_chunk(items):
-    """Worker-side: verify a chunk; returns ``None`` or the first
-    ``(step_index, message)`` failure."""
-    for idx, lits, just in items:
-        try:
-            verify_justification(lits, just)
-        except ProofError as exc:
-            return (idx, str(exc))
-    return None
-
-
-def _get_pool(workers: int):
-    global _POOL, _POOL_SIZE
-    if _POOL is None or _POOL_SIZE < workers:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        if _POOL is not None:
-            _POOL.shutdown(wait=False, cancel_futures=True)
-        _POOL = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"))
-        _POOL_SIZE = workers
-    return _POOL
-
-
 class DrupChecker:
     """Incremental RUP checker over an integer-literal clause database.
 
@@ -558,17 +493,15 @@ class DrupChecker:
     ``require_justified``
         Reject any theory lemma without a justification (the
         ``checked_theory_lemmas`` regime).
-    ``allow_shared``
-        Accept ``("shared", digest)`` justifications — only sound inside
-        a parallel worker whose imports the arbiter cross-checks.
     ``defer``
         Queue justification math for :meth:`flush` instead of verifying
         inline (atom-registry and clause-coverage checks still run
-        inline, in proof order).
+        inline, in proof order).  Callers must flush before trusting a
+        verdict.
     """
 
     def __init__(self, require_justified: bool = False,
-                 allow_shared: bool = False, defer: bool = False) -> None:
+                 defer: bool = False) -> None:
         self._clauses: list[list[int] | None] = []  # by id; None = deleted
         self._by_key: dict[tuple[int, ...], list[int]] = {}  # multiset of ids
         # watched literal -> ids of clauses watching it (cl[0]/cl[1])
@@ -580,11 +513,9 @@ class DrupChecker:
         self._contradiction = False
         self.checked = 0  # derivations + finals successfully verified
         self.require_justified = require_justified
-        self.allow_shared = allow_shared
         self.defer = defer
         self.theory_checked = 0   # lemmas whose justification was verified
         self.theory_trusted = 0   # lemmas admitted as trusted axioms
-        self.theory_shared = 0    # lemmas imported from a parallel peer
         self._atoms: dict[int, object] = {}  # var -> claimed theory atom
         self._pending: list[tuple[int, tuple[int, ...], object]] = []
         self._step_no = 0
@@ -723,11 +654,6 @@ class DrupChecker:
                 raise ProofError("unjustified theory lemma "
                                  f"{sorted(lits, key=abs)}")
             self.theory_trusted += 1
-        elif isinstance(just, tuple) and just and just[0] == "shared":
-            if not self.allow_shared:
-                raise ProofError("shared-clause justification outside a "
-                                 "parallel worker")
-            self.theory_shared += 1
         else:
             self._register_lemma_atoms(lits, just)
             key = (self._key(lits), just)
@@ -741,43 +667,19 @@ class DrupChecker:
             self.theory_checked += 1
         self._admit(lits)
 
-    def flush(self, jobs: int | None = None) -> None:
-        """Verify all deferred justifications; chunked across a process
-        pool when the batch is large enough (or ``jobs`` forces it)."""
+    def flush(self) -> None:
+        """Verify all deferred justifications."""
         queued, self._pending = self._pending, []
-        pending = []
-        batch_seen: set = set()
         for idx, lits, just in queued:
             key = (self._key(lits), just)
-            if key in self._just_seen or key in batch_seen:
+            if key in self._just_seen:
                 continue
-            batch_seen.add(key)
-            pending.append((idx, lits, just))
-        if not pending:
-            self._just_seen |= batch_seen
-            return
-        if jobs is None:
-            workers = min(4, _slots()) \
-                if len(pending) >= PARALLEL_THRESHOLD else 1
-        else:
-            workers = max(1, min(jobs, _slots()))
-        if workers <= 1 or len(pending) < 2:
-            for idx, lits, just in pending:
-                try:
-                    verify_justification(lits, just)
-                except ProofError as exc:
-                    raise ProofError(f"theory lemma at step {idx}: "
-                                     f"{exc}") from None
-            self._just_seen |= batch_seen
-            return
-        pool = _get_pool(workers)
-        size = max(8, (len(pending) + workers - 1) // workers)
-        chunks = [pending[i:i + size] for i in range(0, len(pending), size)]
-        failures = [f for f in pool.map(_verify_chunk, chunks) if f]
-        if failures:
-            idx, msg = min(failures)
-            raise ProofError(f"theory lemma at step {idx}: {msg}")
-        self._just_seen |= batch_seen
+            try:
+                verify_justification(lits, just)
+            except ProofError as exc:
+                raise ProofError(f"theory lemma at step {idx}: "
+                                 f"{exc}") from None
+            self._just_seen.add(key)
 
     def delete(self, lits: Sequence[int]) -> None:
         """Remove one copy of a clause (tag ``d``).
@@ -845,19 +747,16 @@ class DrupChecker:
 
 
 def check_proof(steps: Iterable[Sequence], require_unsat: bool = False,
-                require_justified: bool = False, allow_shared: bool = False,
-                jobs: int | None = None) -> int:
+                require_justified: bool = False) -> int:
     """Check a whole proof; returns the number of verified derivations.
 
     Steps are ``(tag, lits)`` or ``(tag, lits, justification)``.  With
     ``require_unsat=True`` the proof must contain at least one final
     (``f``) step, i.e. it must actually certify an UNSAT answer.  With
     ``require_justified=True`` every theory lemma must carry a verified
-    justification.  ``jobs`` forces the multiprocess chunk width for the
-    deferred justification pass (default: automatic).
+    justification.
     """
-    checker = DrupChecker(require_justified=require_justified,
-                          allow_shared=allow_shared, defer=True)
+    checker = DrupChecker(require_justified=require_justified, defer=True)
     finals = 0
     for i, step in enumerate(steps):
         tag, lits = step[0], step[1]
@@ -869,7 +768,7 @@ def check_proof(steps: Iterable[Sequence], require_unsat: bool = False,
             raise ProofError(f"step {i}: {exc}") from None
         if tag == "f":
             finals += 1
-    checker.flush(jobs=jobs)
+    checker.flush()
     if require_unsat and finals == 0:
         raise ProofError("proof has no final (f) step: nothing is refuted")
     return checker.checked
@@ -934,9 +833,7 @@ def parse_proof(text: str) -> list[tuple]:
 
 
 def check_proof_text(text: str, require_unsat: bool = False,
-                     require_justified: bool = False,
-                     allow_shared: bool = False) -> int:
+                     require_justified: bool = False) -> int:
     """Parse and check a textual proof; returns verified-derivation count."""
     return check_proof(parse_proof(text), require_unsat=require_unsat,
-                       require_justified=require_justified,
-                       allow_shared=allow_shared)
+                       require_justified=require_justified)

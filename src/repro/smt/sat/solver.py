@@ -21,43 +21,6 @@ from ..tuning import TUNING
 from .cnf import normalize_clause, var_of
 
 
-class SolveCancelled(Exception):
-    """Raised out of :meth:`SatSolver.solve` when an attached share
-    channel (see :attr:`SatSolver.share`) requests cancellation — used by
-    portfolio workers that lost the race.  The trail may be mid-search;
-    the next ``_backjump(0)`` restores a consistent root state."""
-
-
-class ShareChannel:
-    """What the SAT core expects of a clause-sharing hook.
-
-    All methods have trivial defaults, so attaching a share object is
-    purely opt-in (``solver.share = ...``).  The parallel worker protocol
-    (:mod:`repro.smt.parallel`) implements this over a pipe.
-    """
-
-    #: Conflicts+decisions between :meth:`pulse` calls.
-    poll_every = 256
-    #: Learnt clauses with an LBD above this (and more than 2 literals)
-    #: are not offered for export.
-    max_lbd = 4
-
-    def export(self, lits: Sequence[int], lbd: int) -> bool:
-        """Offer a freshly learnt clause to other solvers.  Returns True
-        if the clause was actually exported (channels may filter)."""
-        return False
-
-    def pulse(self) -> list[list[int]]:
-        """Called periodically at propagation fixpoints: return clauses
-        imported from other solvers (empty list = none).  May raise
-        :class:`SolveCancelled` to abort the search."""
-        return []
-
-    def requeue(self, clauses: list[list[int]]) -> None:
-        """Hand back clauses :meth:`pulse` returned but the solver could
-        not integrate yet (a conflict interrupted the batch)."""
-
-
 class TheoryInterface:
     """What the SAT core expects of a theory plugin.
 
@@ -198,11 +161,7 @@ class SatSolver:
         self._next_reduce = 128
         self.reduced_clauses = 0
         self._var_inc = 1.0
-        self._var_decay = TUNING.var_decay
-        self._restart_base = TUNING.restart_base
-        self._restart_luby = TUNING.restart_luby
-        self._phase_default = TUNING.phase_default
-        self._phase_saving = TUNING.phase_saving
+        self._var_decay = 0.95
         self._order: list[tuple[float, int]] = []
         self.ok = True
         self.core: list[int] | None = None
@@ -219,16 +178,6 @@ class SatSolver:
         # justification tuple or None.  api.py wires it to
         # TheoryCore.pop_justification when checked theory lemmas are on.
         self.lemma_justifier = None
-        # Origin digests of clauses imported from the share channel this
-        # solve; the parallel arbiter cross-checks them against what was
-        # actually broadcast before adopting a worker's certificate.
-        self.imported_shared: list = []
-        # Optional clause-sharing / cancellation hook (ShareChannel).
-        self.share: ShareChannel | None = None
-        self._share_next = 0
-        self._share_seen: set[tuple[int, ...]] = set()
-        self.imported_clauses = 0
-        self.exported_clauses = 0
 
     def enable_proof(self) -> ProofLog:
         """Start recording a clause-derivation proof; returns the log."""
@@ -248,8 +197,6 @@ class SatSolver:
             "learned": self.learned,
             "restarts": self.restarts,
             "reduced_clauses": self.reduced_clauses,
-            "clauses_imported": self.imported_clauses,
-            "clauses_exported": self.exported_clauses,
         }
 
     # ------------------------------------------------------------------
@@ -263,7 +210,7 @@ class SatSolver:
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
-        self._phase.append(self._phase_default)
+        self._phase.append(False)
         self._seen.append(False)
         self._watches.append([])  # 2v
         self._watches.append([])  # 2v+1
@@ -342,8 +289,7 @@ class SatSolver:
         self._assign[v] = lit > 0
         self._level[v] = self.decision_level()
         self._reason[v] = reason
-        if self._phase_saving:
-            self._phase[v] = lit > 0
+        self._phase[v] = lit > 0
         self.trail.append(lit)
         return True
 
@@ -613,8 +559,7 @@ class SatSolver:
     # lemma integration (theory clauses, possibly during search)
     # ------------------------------------------------------------------
 
-    def _integrate_lemma(self, lits: Sequence[int],
-                         just: tuple | None = None) -> list[int] | None:
+    def _integrate_lemma(self, lits: Sequence[int]) -> list[int] | None:
         """Add a clause mid-search.  Returns a conflicting clause to analyze
         (already positioned at the right decision level) or None."""
         cl = normalize_clause(lits)
@@ -624,7 +569,8 @@ class SatSolver:
             # Theory lemmas are T-valid, not propositionally derivable;
             # ask the justifier for the parked certificate so the proof
             # checker can replay the lemma instead of trusting it.
-            if just is None and self.lemma_justifier is not None:
+            just = None
+            if self.lemma_justifier is not None:
                 just = self.lemma_justifier(cl)
             self.proof.lemma(cl, just)
         vals = [self.value(l) for l in cl]
@@ -710,70 +656,12 @@ class SatSolver:
                 return v
         return None
 
-    def _restart_interval(self, count: int) -> int:
-        if self._restart_luby:
-            return self._restart_base * _luby(count + 1)
-        return max(1, int(self._restart_base * (1.5 ** count)))
-
-    def _share_learnt(self, lits: Sequence[int], lbd: int) -> None:
-        """Offer a freshly learnt clause to the share channel (deduped)."""
-        key = tuple(sorted(lits))
-        if key in self._share_seen:
-            return
-        self._share_seen.add(key)
-        if self.share.export(list(lits), lbd):
-            self.exported_clauses += 1
-
-    def _share_pulse(self) -> list[int] | None:
-        """Integrate clauses imported from the share channel.  Returns a
-        conflicting clause to analyze (at most one per pulse; leftovers
-        are requeued) or None.  May raise :class:`SolveCancelled`."""
-        incoming = self.share.pulse()
-        for i, item in enumerate(incoming):
-            # channels send (clause, origin-digest) pairs; plain clause
-            # lists (older channels, tests) still work with a literal-set
-            # digest standing in for the origin
-            if isinstance(item, tuple):
-                cl, origin = item
-            else:
-                cl, origin = item, None
-            key = tuple(sorted(cl))
-            if key in self._share_seen:
-                continue
-            self._share_seen.add(key)
-            self.imported_clauses += 1
-            digest = origin if origin is not None else tuple(sorted(cl))
-            self.imported_shared.append(digest)
-            confl = self._integrate_lemma(cl, ("shared", digest))
-            if confl is not None:
-                rest = incoming[i + 1:]
-                if rest:
-                    self.share.requeue(rest)
-                return confl
-        return None
-
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Solve under the given assumption literals.
 
         On False, :attr:`core` holds a subset of the assumptions whose
         conjunction is already unsatisfiable with the clause database.
         """
-        res = self._search(list(assumptions), None)
-        assert res is not None
-        return res
-
-    def solve_limited(self, assumptions: Sequence[int] = (),
-                      conflict_limit: int | None = None) -> bool | None:
-        """Like :meth:`solve`, but give up once ``conflict_limit``
-        conflicts have been spent: returns ``None`` with the solver left
-        in a consistent root-level state (learnt clauses retained), so a
-        caller can escalate — e.g. to the parallel portfolio — and later
-        resume sequentially.  Used as the admission probe of
-        ``--parallel-query``."""
-        return self._search(list(assumptions), conflict_limit)
-
-    def _search(self, assumptions: list[int],
-                conflict_limit: int | None) -> bool | None:
         self.core = None
         if not self.ok:
             self.core = []
@@ -783,21 +671,15 @@ class SatSolver:
         self._assumptions = list(assumptions)
         self._backjump(0)
         restart_count = 0
-        conflicts_until_restart = self._restart_interval(restart_count)
+        conflicts_until_restart = 100 * _luby(restart_count + 1)
         conflict_budget_used = 0
-        conflicts_spent = 0
-        pending: list[int] | None = None
         while True:
-            confl = pending
-            pending = None
+            confl = self._propagate()
             if confl is None:
-                confl = self._propagate()
-                if confl is None:
-                    confl = self._theory_sync()
+                confl = self._theory_sync()
             if confl is not None:
                 self.conflicts += 1
                 conflict_budget_used += 1
-                conflicts_spent += 1
                 if self.decision_level() == 0:
                     self.ok = False
                     self.core = []
@@ -810,12 +692,6 @@ class SatSolver:
                     self.proof.derive(learnt)
                 if len(learnt) >= 2:
                     learnt = self._learn(learnt)
-                    if self.share is not None and (
-                            learnt.lbd <= self.share.max_lbd
-                            or len(learnt) <= 2):
-                        self._share_learnt(learnt, learnt.lbd)
-                elif self.share is not None:
-                    self._share_learnt(learnt, 1)
                 # Never backjump into the middle of re-deciding assumptions
                 # incorrectly: bt may land inside the assumption prefix; the
                 # decide loop below re-establishes assumptions as needed.
@@ -832,18 +708,8 @@ class SatSolver:
                     self._enqueue(learnt[0], learnt)
                 self._var_inc /= self._var_decay
                 continue
-            # No boolean/theory conflict at this fixpoint: the safe spot
-            # for budget checks, clause import, and database reduction.
-            if conflict_limit is not None and conflicts_spent >= conflict_limit:
-                self._backjump(0)
-                return None
-            if self.share is not None and \
-                    self.conflicts + self.decisions >= self._share_next:
-                self._share_next = (self.conflicts + self.decisions
-                                    + self.share.poll_every)
-                pending = self._share_pulse()
-                if pending is not None:
-                    continue
+            # No boolean/theory conflict at this fixpoint: a safe spot to
+            # shed inactive learnt clauses (growing conflict intervals).
             if self._reduce_learnts and self.conflicts >= self._next_reduce:
                 self._reduce_interval += 64
                 self._next_reduce = self.conflicts + self._reduce_interval
@@ -853,7 +719,7 @@ class SatSolver:
                 conflict_budget_used = 0
                 restart_count += 1
                 self.restarts += 1
-                conflicts_until_restart = self._restart_interval(restart_count)
+                conflicts_until_restart = 100 * _luby(restart_count + 1)
                 self._backjump(0)
                 continue
             # Establish assumptions, then decide.
@@ -890,7 +756,6 @@ class SatSolver:
                                     break
                             if confl2 is not None:
                                 self.conflicts += 1
-                                conflicts_spent += 1
                                 if self.decision_level() == 0:
                                     self.ok = False
                                     self.core = []
@@ -903,12 +768,6 @@ class SatSolver:
                                     self.proof.derive(learnt)
                                 if len(learnt) >= 2:
                                     learnt = self._learn(learnt)
-                                    if self.share is not None and (
-                                            learnt.lbd <= self.share.max_lbd
-                                            or len(learnt) <= 2):
-                                        self._share_learnt(learnt, learnt.lbd)
-                                elif self.share is not None:
-                                    self._share_learnt(learnt, 1)
                                 self._backjump(bt)
                                 if len(learnt) == 1:
                                     if not self._enqueue(learnt[0], None):

@@ -40,18 +40,6 @@ class SolverTuning:
     #: Cross-query memo of theory-check verdicts keyed by the asserted
     #: theory-atom literal set (the Nelson-Oppen exchange cache).
     theory_lemma_cache: bool = True
-    #: VSIDS activity decay factor (per conflict); smaller = more focused
-    #: on recent conflicts.
-    var_decay: float = 0.95
-    #: Base conflict interval of the restart schedule.
-    restart_base: int = 100
-    #: Luby-sequence restarts when True; geometric (x1.5) when False.
-    restart_luby: bool = True
-    #: Default branching polarity for a never-assigned variable.
-    phase_default: bool = False
-    #: Remember the last assigned polarity of each variable and branch
-    #: there first (MiniSat phase saving).  Off = always phase_default.
-    phase_saving: bool = True
     #: Theory lemmas carry checkable justifications (EUF congruence
     #: chains, LIA Farkas/tightening scripts) that the standalone proof
     #: checker replays; off = the pre-PR-8 behaviour where ``"t"`` proof
@@ -65,53 +53,8 @@ class SolverTuning:
 TUNING = SolverTuning()
 
 
-# ----------------------------------------------------------------------
-# Named presets: the diversity axes of the intra-query portfolio
-# ----------------------------------------------------------------------
-#
-# Each preset is a dict of SolverTuning field overrides.  The parallel
-# portfolio (repro.smt.parallel) assigns one preset per racing worker so
-# that configurations explore genuinely different search orders.  Every
-# preset is verdict-preserving by construction: the fields only steer
-# heuristics, never the answer.
-
-_PRESETS: dict[str, dict] = {}
-
-
-def register_preset(name: str, **overrides) -> None:
-    """Register (or replace) a named tuning preset.
-
-    Every key must be a :class:`SolverTuning` field — unknown keys are
-    rejected here rather than silently ignored at solver construction.
-    """
-    for k in overrides:
-        if not hasattr(TUNING, k):
-            raise TypeError(f"preset {name!r}: unknown tuning knob {k!r}")
-    _PRESETS[name] = dict(overrides)
-
-
-def preset_names() -> list[str]:
-    """All registered preset names, in registration order ("baseline"
-    first — the portfolio assigns it to worker 0)."""
-    return list(_PRESETS)
-
-
-def get_preset(name: str) -> dict:
-    """The override dict of a registered preset (a copy)."""
-    return dict(_PRESETS[name])
-
-
-register_preset("baseline")
-register_preset("agile", restart_base=16, var_decay=0.90)
-register_preset("stable", restart_luby=False, restart_base=700,
-                var_decay=0.99)
-register_preset("phase-true", phase_default=True, var_decay=0.97)
-register_preset("no-phase-saving", phase_saving=False, restart_base=50)
-register_preset("focused", var_decay=0.85, restart_base=32)
-
-
 @contextmanager
-def tuning(**overrides):
+def tuning(**overrides: bool):
     """Temporarily override :data:`TUNING` fields (keyword = field name).
 
     Restores the previous values on exit, including on exceptions."""

@@ -93,8 +93,7 @@ class EncodedProcedure:
     """The queryable encoding of one prepared procedure."""
 
     def __init__(self, program: Program, proc: Procedure,
-                 lia_budget: int = 20000, self_check: bool = False,
-                 parallel=None):
+                 lia_budget: int = 20000, self_check: bool = False):
         if proc.body is None:
             raise ValueError(f"procedure {proc.name} has no body")
         self.program = program
@@ -104,10 +103,8 @@ class EncodedProcedure:
         # must carry a checker-accepted DRUP proof, every sat answer a
         # model satisfying all enabled assertions (CertificateError else).
         self.self_check = self_check
-        # parallel (a repro.smt.parallel.ParallelConfig or None) turns on
-        # the intra-query portfolio/cube race for hard queries.
         self.solver = Solver(self.factory, lia_budget=lia_budget,
-                             validate=self_check, parallel=parallel)
+                             validate=self_check)
         self.entry_env: dict[str, Term] = {}
         self.assert_events: list[AssertEvent] = []
         self.loc_events: list[LocEvent] = []
@@ -368,8 +365,7 @@ class EncodedProcedure:
         if not fails:
             self._vc_lit = -self.solver.lit_for(self.factory.true)
             return self._vc_lit
-        # build an OR over the fail literals at the SAT level; routed
-        # through the Solver facade so the parallel op log stays complete
+        # build an OR over the fail literals at the SAT level
         v = self.solver.new_indicator()
         for lit in fails:
             self.solver.add_clause_lits([v, -lit])

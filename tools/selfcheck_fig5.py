@@ -15,11 +15,6 @@ Theory lemmas inside the proofs are certificate-checked too (the
 ``lemmas_checked`` / ``lemmas_trusted`` / ``check_wall`` and fails
 (exit 1) if any lemma was admitted on trust or none was checked.
 
-``--parallel SPEC`` runs the same sweep with intra-query parallel
-solving (``auto``/``portfolio``/``cubes``, optional ``:N``): the CI
-smoke uses it to witness that worker-produced certificates certify
-exactly like sequential ones.
-
 ``--compare-trusted`` re-runs the sweep with
 ``tuning(checked_theory_lemmas=False)`` and writes both checking walls
 (and their ratio) into ``BENCH_perf.json`` under
@@ -29,7 +24,7 @@ overhead ratio of at most 2x.
 Usage::
 
     python tools/selfcheck_fig5.py [--scale 1.0] [--timeout 30]
-                                   [--parallel auto:2] [--compare-trusted]
+                                   [--compare-trusted]
 """
 
 from __future__ import annotations
@@ -47,18 +42,16 @@ from repro.frontend import compile_c                      # noqa: E402
 from repro.smt.api import CertificateError                # noqa: E402
 
 _CERT_KEYS = ("sat_checked", "unsat_checked", "proof_steps",
-              "lemmas_checked", "lemmas_trusted", "lemmas_shared",
-              "check_wall")
+              "lemmas_checked", "lemmas_trusted", "check_wall")
 
 
-def _sweep(scale: float, timeout: float, parallel) -> dict:
+def _sweep(scale: float, timeout: float) -> dict:
     """One full sweep; returns certificate totals (raises on rejection)."""
     totals: dict = {k: 0 for k in _CERT_KEYS}
     totals["check_wall"] = 0.0
     for suite in small_suites(scale=scale):
         program = compile_c(suite.c_source)
-        report = analyze_program(program, timeout=timeout,
-                                 self_check=True, parallel=parallel)
+        report = analyze_program(program, timeout=timeout, self_check=True)
         conservative_program(program, timeout=timeout, self_check=True)
         counts = {k: 0 for k in _CERT_KEYS}
         counts["check_wall"] = 0.0
@@ -86,27 +79,14 @@ def main(argv: list[str] | None = None) -> int:
                     help="suite scale factor (default 1.0)")
     ap.add_argument("--timeout", type=float, default=30.0,
                     help="per-procedure timeout in seconds (default 30)")
-    ap.add_argument("--parallel", default=None, metavar="SPEC",
-                    help="run the sweep with --parallel-query style "
-                         "intra-query parallelism (auto|portfolio|"
-                         "cubes[:N]); certificates must still certify")
     ap.add_argument("--compare-trusted", action="store_true",
                     help="re-run with checked_theory_lemmas off and "
                          "record both checking walls in BENCH_perf.json")
     args = ap.parse_args(argv)
 
-    parallel = None
-    if args.parallel is not None:
-        from repro.smt.parallel import parse_parallel_spec
-        try:
-            parallel = parse_parallel_spec(args.parallel)
-        except ValueError as exc:
-            print(f"error: --parallel: {exc}", file=sys.stderr)
-            return 2
-
     t0 = time.monotonic()
     try:
-        totals = _sweep(args.scale, args.timeout, parallel)
+        totals = _sweep(args.scale, args.timeout)
     except CertificateError as exc:
         print(f"CERTIFICATE REJECTED: {exc}", file=sys.stderr)
         return 3
@@ -116,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
           f"proof_steps={totals['proof_steps']} "
           f"lemmas_checked={totals['lemmas_checked']} "
           f"lemmas_trusted={totals['lemmas_trusted']} "
-          f"lemmas_shared={totals['lemmas_shared']} "
           f"check_wall={totals['check_wall']:.3f}s in {elapsed:.1f}s")
     if totals["sat_checked"] + totals["unsat_checked"] == 0:
         print("error: no certificates were checked — self-check did not "
@@ -137,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         t1 = time.monotonic()
         try:
             with tuning(checked_theory_lemmas=False):
-                trusted = _sweep(args.scale, args.timeout, parallel)
+                trusted = _sweep(args.scale, args.timeout)
         except CertificateError as exc:
             print(f"CERTIFICATE REJECTED (trusted re-run): {exc}",
                   file=sys.stderr)
