@@ -267,8 +267,9 @@ def build_ci_parser() -> argparse.ArgumentParser:
                          "(default 1: serial, in plan order)")
     ap.add_argument("--cache-dir", metavar="DIR",
                     default=os.environ.get("REPRO_CACHE_DIR"),
-                    help="persistent analysis cache (default: "
-                         "$REPRO_CACHE_DIR); lets renamed/moved procedures "
+                    help="persistent analysis and parse cache "
+                         "(default: $REPRO_CACHE_DIR); unchanged files are "
+                         "not re-parsed, and renamed/moved procedures "
                          "re-serve with zero solver work")
     ap.add_argument("--no-cache", action="store_true",
                     help="disable the persistent cache even if "
@@ -371,6 +372,7 @@ def run_ci_cmd(argv: list[str], out=sys.stdout) -> int:
             "clean": stats["clean"],
             "procedures": stats["procedures"],
             "fingerprints_skipped": stats["fingerprints_skipped"],
+            "files_parsed": stats["files_parsed"],
         }}}
         with open(args.bench_out, "w") as fh:
             _json.dump({"incremental_ci": section}, fh, indent=2,

@@ -33,6 +33,11 @@ conservative verifier's warnings).  Loading either kind also pre-seeds
 the in-process baseline memo (:func:`repro.core.deadfail.seed_baselines`)
 so that even a *partial* hit — same procedure, different configuration —
 skips the vocabulary-independent baseline queries.
+
+A third kind, ``parse``, lives in a second instance rooted at
+``<cache-dir>/parse``: one source file's frontend output, keyed by the
+file's bytes (see :meth:`AnalysisCache.parse_key` and
+`repro.frontend.ingest`).
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import tempfile
 from pathlib import Path
 
 from ..lang.ast import Procedure, Program
+from ..lang.codec import LAYOUT_DIGEST, decode_program, encode
 from ..vc.encode import procedure_fingerprint
 from .config import AbstractionConfig
 from .cover import cover_to_json
@@ -60,6 +66,10 @@ from .deadfail import seed_baselines
 #: v4: ``ProcedureReport`` gained ``bug_classes`` (per-warning-class
 #: counts derived from label prefixes); v3 records lack the field and
 #: must miss cleanly.
+#: Parse records are keyed by source bytes, not by what the frontend
+#: makes of them, so a change to what the parser or the ``.c`` lowering
+#: emits for the same bytes is a bump too.  (A changed AST *layout*
+#: needs none: ``LAYOUT_DIGEST`` is in the parse key.)
 SCHEMA_VERSION = 4
 
 
@@ -160,6 +170,18 @@ class AnalysisCache:
         """See :func:`cons_cache_key`."""
         return cons_cache_key(program, prepared, unroll_depth=unroll_depth)
 
+    def parse_key(self, source_digest: str, frontend: str,
+                  **inputs) -> str:
+        """The content address of one source file's frontend output:
+        the sha256 of its bytes, the frontend that reads them (its
+        suffix, ``.bpl`` or ``.c``), the other ``inputs`` that frontend
+        takes (the ``.c`` lowering's ``unroll_depth`` and
+        ``bug_classes``) and the AST layout the record is encoded
+        against."""
+        return _digest("parse", f"frontend={frontend}",
+                       *(f"{k}={inputs[k]}" for k in sorted(inputs)),
+                       f"ast={LAYOUT_DIGEST}", source_digest)
+
     # ------------------------------------------------------------------
     # records
     # ------------------------------------------------------------------
@@ -217,8 +239,10 @@ class AnalysisCache:
         except OSError:
             return
         try:
+            # json.dumps, not json.dump: the same bytes, but dump runs
+            # the pure-Python encoder, about 10x slower on parse records
             with os.fdopen(fd, "w") as fh:
-                json.dump(rec, fh, sort_keys=True)
+                fh.write(json.dumps(rec, sort_keys=True))
             os.replace(tmp, self._path(key))
         except (OSError, TypeError, ValueError):
             try:
@@ -349,6 +373,33 @@ class AnalysisCache:
             },
             "warnings": list(result.warnings),
         })
+
+    # ------------------------------------------------------------------
+    # parse records
+    # ------------------------------------------------------------------
+
+    def load_program(self, key: str) -> Program | None:
+        """The ``Program`` stored under ``key`` (one file's frontend
+        output, before merge and typecheck), or ``None``."""
+        rec = self._read(key, "parse")
+        if rec is None:
+            return None
+        try:
+            program = decode_program(rec["program"])
+        except (KeyError, TypeError, ValueError, RecursionError):
+            self.invalidations += 1
+            return None
+        self.hits += 1
+        return program
+
+    def store_program(self, key: str, program: Program) -> None:
+        """Persist one file's frontend output under ``key``."""
+        try:
+            body = encode(program)
+        except TypeError:
+            return  # not representable: stays uncached, like a failed write
+        self._write(key, {"schema": SCHEMA_VERSION, "kind": "parse",
+                          "program": body})
 
 
 def merge_cache_stats(stats_list) -> dict:

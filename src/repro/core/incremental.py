@@ -5,7 +5,9 @@ affect, not for the whole repo.  This module is that driver:
 
 1. **Ingest.**  `repro.frontend.ingest` merges every ``.bpl``/``.c``
    source under a directory into one typechecked program with
-   per-procedure file provenance.
+   per-procedure file provenance.  With a cache directory, a file whose
+   bytes a previous run already parsed is decoded from its parse record
+   instead (``stats["files_parsed"]`` counts the files that were not).
 
 2. **Fingerprint.**  Every procedure with a body gets a *surface
    fingerprint* (:func:`repro.vc.encode.procedure_fingerprint` on the
@@ -70,7 +72,7 @@ from ..frontend.ingest import IngestedRepo, ingest_directory
 from ..scenarios.classes import DEFAULT_CLASSES, bug_class_of
 from ..vc.encode import procedure_fingerprint
 from .analysis import _reraise_certificate, failure_report
-from .cache import merge_cache_stats
+from .cache import AnalysisCache, merge_cache_stats
 from .config import AbstractionConfig, CONC
 from .interproc import spec_dependents, spec_fingerprint
 from .tasks import AnalysisTask, run_task
@@ -357,7 +359,8 @@ class CiResult:
     delta: dict
     #: fresh ProcedureReports for the dirty set, in plan order
     reports: dict = field(default_factory=dict)
-    #: wall_seconds / analyzed / clean / queries / cache counters
+    #: wall_seconds / files_parsed / analyzed / clean / queries / cache
+    #: counters
     stats: dict = field(default_factory=dict)
 
     @property
@@ -406,7 +409,9 @@ def run_ci(root: str | os.PathLike,
     ``previous`` directly), analyzes exactly the dirty set, carries
     clean procedures' manifest entries over verbatim, writes the new
     manifest back to ``manifest_path`` (when given), and returns the
-    :class:`CiResult` with the warning delta.
+    :class:`CiResult` with the warning delta.  ``cache_dir`` holds
+    both the analysis records and, under ``parse/``, the parse records
+    that let ingest skip every file whose bytes are unchanged.
 
     Raises :class:`repro.frontend.ingest.IngestError` when the sources
     do not form one coherent program, and re-raises a
@@ -414,8 +419,10 @@ def run_ci(root: str | os.PathLike,
     analysis failures are folded into the reports instead.
     """
     start = time.monotonic()
+    parse_cache = AnalysisCache(Path(cache_dir) / "parse") \
+        if cache_dir else None
     repo = ingest_directory(root, unroll_depth=unroll_depth,
-                            bug_classes=bug_classes)
+                            bug_classes=bug_classes, cache=parse_cache)
     if previous is None and manifest_path is not None:
         previous = load_manifest(manifest_path)
     if changed_files is not None:
@@ -480,6 +487,7 @@ def run_ci(root: str | os.PathLike,
     # original counters, which the cache tallies as queries_served
     stats = {"wall_seconds": round(time.monotonic() - start, 3),
              "files": len(repo.file_digests),
+             "files_parsed": repo.files_parsed,
              "procedures": len(procedures),
              "analyzed": len(plan.order),
              "clean": len(plan.clean),

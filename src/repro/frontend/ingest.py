@@ -21,16 +21,25 @@ Merging rules:
   make the manifest ambiguous;
 * typechecking runs once, on the merged program, so cross-file calls
   resolve exactly as they would in a concatenated single file.
+
+Each source is read once: the bytes that are hashed for the manifest
+are the bytes that are parsed.  With a parse cache (an
+:class:`~repro.core.cache.AnalysisCache` rooted at ``<cache-dir>/parse``,
+see ``docs/caching.md``), a file whose digest, frontend and lowering
+inputs match a stored record is decoded from it instead of parsed or
+lowered again; merge and typecheck still run on every call.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..lang import parse_program, typecheck
 from ..lang.ast import Program
+from ..scenarios.classes import DEFAULT_CLASSES
 
 #: Sources the ingester recognizes, with the frontend each one takes.
 BOOGIE_SUFFIXES = (".bpl",)
@@ -51,6 +60,9 @@ class IngestedRepo:
     file_digests: dict = field(default_factory=dict)
     #: procedure name -> repo-relative source path it was defined in
     proc_files: dict = field(default_factory=dict)
+    #: files parsed or lowered by this ingest (parse-cache misses; every
+    #: file when there is no cache)
+    files_parsed: int = 0
 
     @property
     def files(self) -> list[str]:
@@ -70,14 +82,28 @@ def discover_sources(root: str | Path) -> list[Path]:
                   key=lambda p: str(p.relative_to(root)))
 
 
-def _parse_one(path: Path, unroll_depth: int,
+def _parse_one(suffix: str, data: bytes, unroll_depth: int,
                bug_classes: frozenset[str] | None = None) -> Program:
-    text = path.read_text()
-    if path.suffix in C_SUFFIXES:
+    # Decoded as ``Path.read_text`` would on a UTF-8 locale (universal
+    # newlines), but from the bytes that were hashed, so the AST is a
+    # function of the digest alone.
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    if suffix in C_SUFFIXES:
         from .lower import compile_c
         return compile_c(text, unroll_depth=unroll_depth,
                          bug_classes=bug_classes)
     return parse_program(text)
+
+
+def _lowering_inputs(suffix: str, unroll_depth: int,
+                     bug_classes: frozenset[str] | None) -> dict:
+    """What the frontend for ``suffix`` reads besides the source text:
+    part of the parse-cache key."""
+    if suffix not in C_SUFFIXES:
+        return {}
+    return {"unroll_depth": unroll_depth,
+            "bug_classes": sorted(DEFAULT_CLASSES if bug_classes is None
+                                  else bug_classes)}
 
 
 def merge_programs(parts: list[tuple[str, Program]]) -> tuple[Program, dict]:
@@ -117,23 +143,40 @@ def merge_programs(parts: list[tuple[str, Program]]) -> tuple[Program, dict]:
 
 def ingest_paths(root: str | Path, paths: list[Path],
                  unroll_depth: int = 2,
-                 bug_classes: frozenset[str] | None = None) -> IngestedRepo:
+                 bug_classes: frozenset[str] | None = None,
+                 cache=None) -> IngestedRepo:
     """Parse and merge an explicit file list (repo-relative provenance
     is computed against ``root``).  ``bug_classes`` selects the
     automatic assertion families the ``.c`` lowering inserts (see
-    `repro.scenarios.classes`; ``.bpl`` files are unaffected)."""
+    `repro.scenarios.classes`; ``.bpl`` files are unaffected).
+    ``cache`` is the parse cache, an ``AnalysisCache`` rooted at
+    ``<cache-dir>/parse``, or ``None`` to parse every file."""
     root = Path(root)
     parts: list[tuple[str, Program]] = []
     digests: dict = {}
+    parsed = 0
     for path in paths:
         rel = str(path.relative_to(root)) if path.is_relative_to(root) \
             else str(path)
         data = path.read_bytes()
         digests[rel] = hashlib.sha256(data).hexdigest()
-        try:
-            parts.append((rel, _parse_one(path, unroll_depth, bug_classes)))
-        except (SyntaxError, TypeError, ValueError) as exc:
-            raise IngestError(f"{rel}: {exc}") from exc
+        program = key = None
+        if cache is not None:
+            key = cache.parse_key(digests[rel], path.suffix,
+                                  **_lowering_inputs(path.suffix,
+                                                     unroll_depth,
+                                                     bug_classes))
+            program = cache.load_program(key)
+        if program is None:
+            try:
+                program = _parse_one(path.suffix, data, unroll_depth,
+                                     bug_classes)
+            except (SyntaxError, TypeError, ValueError) as exc:
+                raise IngestError(f"{rel}: {exc}") from exc
+            parsed += 1
+            if cache is not None:
+                cache.store_program(key, program)
+        parts.append((rel, program))
     program, proc_files = merge_programs(parts)
     try:
         program = typecheck(program)
@@ -141,18 +184,18 @@ def ingest_paths(root: str | Path, paths: list[Path],
         raise IngestError(f"merged program does not typecheck: {exc}") \
             from exc
     return IngestedRepo(root=root, program=program, file_digests=digests,
-                        proc_files=proc_files)
+                        proc_files=proc_files, files_parsed=parsed)
 
 
 def ingest_directory(root: str | Path,
                      unroll_depth: int = 2,
-                     bug_classes: frozenset[str] | None = None
-                     ) -> IngestedRepo:
+                     bug_classes: frozenset[str] | None = None,
+                     cache=None) -> IngestedRepo:
     """Discover, parse, merge and typecheck every source under
-    ``root``."""
+    ``root`` (``cache`` as in :func:`ingest_paths`)."""
     root = Path(root)
     paths = discover_sources(root)
     if not paths:
         raise IngestError(f"no .bpl or .c sources under {root}")
     return ingest_paths(root, paths, unroll_depth=unroll_depth,
-                        bug_classes=bug_classes)
+                        bug_classes=bug_classes, cache=cache)

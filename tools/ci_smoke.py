@@ -6,11 +6,12 @@ over the committed fixture repository and asserts the contract the
 mode is sold on:
 
 1. a **cold sweep** analyzes every procedure;
-2. a **no-edit re-run** analyzes *nothing* and renders a byte-stable
-   warning delta;
+2. a **no-edit re-run** analyzes *nothing*, parses no file (every
+   source is a parse-cache hit) and renders a byte-stable warning
+   delta;
 3. a **scripted one-procedure edit** (a failing assert appended to
    ``Release`` in ``alloc.bpl``) dirties *exactly* that procedure —
-   nothing else is re-analyzed;
+   nothing else is re-analyzed — and re-parses only ``alloc.bpl``;
 4. the re-run's delta matches the committed golden byte-for-byte
    (``tests/fixtures/ci_repo_golden_delta.json``);
 5. the re-run's wall time is at most 25% of the cold sweep's;
@@ -99,6 +100,8 @@ def run_api_cycle(jobs: int) -> dict:
     idle = run_ci(repo, manifest, jobs=jobs, cache_dir=cache)
     check(idle.stats["analyzed"] == 0, "no-edit re-run analyzes nothing",
           f"analyzed {idle.plan.order}")
+    check(idle.stats["files_parsed"] == 0, "no-edit re-run parses no file",
+          f"files_parsed={idle.stats['files_parsed']}")
     idle2 = run_ci(repo, manifest, jobs=jobs, cache_dir=cache)
     check(render_delta(idle.delta) == render_delta(idle2.delta),
           "delta report is byte-stable across identical runs")
@@ -112,6 +115,9 @@ def run_api_cycle(jobs: int) -> dict:
     check(rerun.plan.order == [EDITED_PROC],
           "re-run analyzes exactly the dirty set",
           f"dirty={rerun.plan.order}")
+    check(rerun.stats["files_parsed"] == 1,
+          f"re-run parses only {EDIT_FILE}",
+          f"files_parsed={rerun.stats['files_parsed']}")
     golden = GOLDEN.read_text()
     check(render_delta(rerun.delta) == golden,
           "delta matches the committed golden")
