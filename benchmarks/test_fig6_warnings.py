@@ -16,8 +16,7 @@ Shapes that must hold (§5.1.1):
 import sys
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from _util import (CACHE_DIR, SCALE, SELF_CHECK, TIMEOUT, emit, emit_json,
-                   sum_pcache, suite_run_stats)
+from _util import SCALE, SELF_CHECK, TIMEOUT, emit
 
 from repro.bench import (SMALL_SUITE_RECIPES, fig6_table, make_suite,
                          run_conservative, run_suite)
@@ -29,8 +28,6 @@ CONFIGS = [CONC, A1, A2]
 
 
 def test_fig6_warning_reduction(benchmark):
-    perf = {"suites": {}}
-
     def run():
         data = {}
         for name in SMALL_SUITE_RECIPES:
@@ -41,15 +38,11 @@ def test_fig6_warning_reduction(benchmark):
                 for k in KS:
                     runs[(config.name, k)] = run_suite(
                         suite, config, prune_k=k, timeout=TIMEOUT,
-                        program=program, cache_dir=CACHE_DIR,
-                        self_check=SELF_CHECK)
-                perf["suites"][f"{name}/{config.name}"] = suite_run_stats(
-                    runs[(config.name, None)])
+                        program=program, self_check=SELF_CHECK)
             cons = run_conservative(suite, timeout=TIMEOUT, program=program,
-                                    cache_dir=CACHE_DIR,
                                     self_check=SELF_CHECK)
             # exclude procedures that timed out in any configuration
-            excluded = set()
+            excluded = set(cons.timed_out)
             for r in runs.values():
                 excluded.update(r.timed_out)
             cells = {key: r.n_warnings_excluding(excluded)
@@ -61,12 +54,6 @@ def test_fig6_warning_reduction(benchmark):
 
     data = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("fig6_warnings", fig6_table(data))
-    stats = perf["suites"].values()
-    perf["total_queries"] = sum(s["queries"] for s in stats)
-    perf["total_cache_hits"] = sum(s["cache_hits"] for s in stats)
-    perf["total_queries_saved"] = sum(s["queries_saved"] for s in stats)
-    perf["pcache"] = sum_pcache(stats)
-    emit_json("fig6_small_suites", perf)
 
     totals = {key: sum(cells.get(key, 0) for cells in data.values())
               for key in

@@ -37,9 +37,10 @@ def test_fig8_large_benchmarks(benchmark):
                               program=program)
                 runs[config.name] = r
                 excluded.update(r.timed_out)
+            cons = run_conservative(suite, timeout=TIMEOUT, program=program)
+            excluded.update(cons.timed_out)
             for cname, r in runs.items():
                 cells[cname] = r.n_warnings_excluding(excluded)
-            cons = run_conservative(suite, timeout=TIMEOUT, program=program)
             cells["Cons"] = cons.n_warnings_excluding(excluded)
             cells["TO"] = len(excluded)
             data[name] = cells

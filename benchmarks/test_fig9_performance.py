@@ -10,11 +10,9 @@ Shapes from the paper:
 """
 
 import sys
-import time
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from _util import (CACHE_DIR, SCALE, TIMEOUT, emit, emit_json, sum_pcache,
-                   suite_run_stats)
+from _util import SCALE, TIMEOUT, emit
 
 from repro.bench import LARGE_SUITE_RECIPES, fig9_table, make_suite, run_suite
 from repro.bench.runner import compile_suite
@@ -22,38 +20,22 @@ from repro.core import A1, A2, CONC
 
 
 def test_fig9_per_procedure_averages(benchmark):
-    perf = {"suites": {}}
-
     def run():
         data = {}
-        t0 = time.monotonic()
         for name in LARGE_SUITE_RECIPES:
             suite = make_suite(name, scale=SCALE)
             program = compile_suite(suite)
             cells = {}
             for config in (CONC, A1, A2):
                 r = run_suite(suite, config, timeout=TIMEOUT,
-                              program=program, cache_dir=CACHE_DIR)
+                              program=program)
                 cells[config.name] = (r.avg_preds, r.avg_clauses,
                                       r.avg_seconds)
-                perf["suites"][f"{name}/{config.name}"] = suite_run_stats(r)
             data[name] = cells
-        perf["wall_seconds"] = round(time.monotonic() - t0, 3)
         return data
 
     data = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("fig9_performance", fig9_table(data))
-    stats = perf["suites"].values()
-    perf["total_queries"] = sum(s["queries"] for s in stats)
-    perf["total_cache_hits"] = sum(s["cache_hits"] for s in stats)
-    perf["total_queries_saved"] = sum(s["queries_saved"] for s in stats)
-    solver = {}
-    for s in stats:
-        for k, v in s["solver"].items():
-            solver[k] = solver.get(k, 0) + v
-    perf["solver"] = solver
-    perf["pcache"] = sum_pcache(stats)
-    emit_json("fig9_performance", perf)
 
     n = len(data)
     avg_p = {c: sum(cells[c][0] for cells in data.values()) / n

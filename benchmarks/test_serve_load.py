@@ -1,4 +1,4 @@
-"""Load generator for the analysis service (ISSUE: BENCH_serve.json).
+"""Load generator for the analysis service.
 
 Answers the question the serving layer exists for: how much faster is a
 *warm* daemon — workers that imported the solver stack once and stay
@@ -14,12 +14,10 @@ pushes them through both paths:
   overlap.
 
 The acceptance bar is a >= 2x throughput win for the warm pool.  The
-numbers land in ``BENCH_serve.json`` (a serve-load section in the same
-shape ``tools/bench_compare.py`` diffs, plus the server's own metrics
-snapshot with the latency histograms from ``docs/serving.md``).
+table reports both throughputs and the server's own request-latency
+histogram quantiles (``docs/serving.md``).
 """
 
-import json
 import os
 import pathlib
 import subprocess
@@ -31,9 +29,6 @@ from _util import SCALE, TIMEOUT, emit  # noqa: E402
 
 from repro.bench import render_table
 from repro.serve import FleetThread, ServeClient, ServerThread
-
-BENCH_SERVE_JSON = (pathlib.Path(__file__).resolve().parent.parent
-                    / "BENCH_serve.json")
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -125,31 +120,6 @@ def test_serve_load(benchmark, tmp_path):
               f" (mean {latency['mean_ms']:.0f}ms)")
     emit("serve_load", table)
 
-    payload = {
-        "meta": {"scale": SCALE, "timeout": TIMEOUT,
-                 "requests": n, "pool_size": 2},
-        "serve_load": {
-            "suites": {
-                "loadgen": {
-                    "requests": n,
-                    "wall_seconds": round(warm, 3),
-                    "cold_cli_seconds": round(cold, 3),
-                    "throughput_rps": round(warm_rps, 3),
-                    "cold_cli_rps": round(cold_rps, 3),
-                    "speedup": round(speedup, 3),
-                    "p50_ms": latency["p50_ms"],
-                    "p90_ms": latency["p90_ms"],
-                    "p99_ms": latency["p99_ms"],
-                    "mean_ms": latency["mean_ms"],
-                },
-            },
-        },
-        "server_metrics": snap,
-    }
-    BENCH_SERVE_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\n=== serve load numbers written to {BENCH_SERVE_JSON} ===")
-
     # the acceptance bar: the warm pool at least doubles throughput
     assert speedup >= 2.0, (cold, warm, speedup)
 
@@ -173,7 +143,7 @@ def _fleet_pass(client, sources) -> None:
 
 def _run_fleet(tmp_path, replicas: int, sources) -> dict:
     """One mixed hot/cold sweep through a fleet of *replicas*; returns
-    the suite record for BENCH_serve.json."""
+    its row of the fleet-throughput table."""
     sock = str(tmp_path / f"fleet{replicas}.sock")
     with FleetThread(sock, replicas=replicas, pool_size=1,
                      queue_limit=64) as fleet:
@@ -197,16 +167,13 @@ def _run_fleet(tmp_path, replicas: int, sources) -> dict:
         "p50_ms": latency["p50_ms"],
         "p95_ms": latency["p95_ms"],
         "p99_ms": latency["p99_ms"],
-        "mean_ms": latency["mean_ms"],
         "hot_hits": hot_hits,
-        "shard_submissions":
-            snap["counters"].get("shard_submissions", 0),
     }
 
 
 def test_fleet_throughput(benchmark, tmp_path):
     """Sustained RPS and latency percentiles at 1/2/4 replicas under a
-    mixed hot/cold load (ISSUE: fleet-throughput section).
+    mixed hot/cold load.
 
     The >= 2x scaling bar for 4 replicas over 1 only binds on a machine
     with at least 4 cores — with pool_size=1 a replica is one worker,
@@ -241,18 +208,6 @@ def test_fleet_throughput(benchmark, tmp_path):
     table += (f"\n\n4-replica vs 1-replica throughput: {scaling:.2f}x "
               f"on {cores} core(s)")
     emit("fleet_throughput", table)
-
-    # merge into BENCH_serve.json next to the single-server numbers
-    payload = {}
-    if BENCH_SERVE_JSON.exists():
-        payload = json.loads(BENCH_SERVE_JSON.read_text())
-    payload.setdefault("meta", {}).update(
-        {"fleet_scale": SCALE, "fleet_programs": N_FLEET_PROGRAMS,
-         "fleet_cores": cores})
-    payload["fleet_throughput"] = {"suites": suites}
-    BENCH_SERVE_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\n=== fleet throughput written to {BENCH_SERVE_JSON} ===")
 
     # the scaling bar binds where the hardware can express it
     if cores >= 4:

@@ -11,7 +11,7 @@ import sys
 import time
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-from _util import SCALE, TIMEOUT, emit, emit_json
+from _util import SCALE, TIMEOUT, emit
 
 from repro.bench import make_suite, render_table
 from repro.bench.runner import compile_suite
@@ -52,8 +52,7 @@ def test_warm_cache_sweep(benchmark, tmp_path):
     cold, warm = state["cold"], state["warm"]
 
     rows = []
-    totals = {"cold_q": 0, "warm_q": 0, "hits": 0, "misses": 0,
-              "stores": 0, "invalidations": 0}
+    totals = {"cold_q": 0, "warm_q": 0, "hits": 0, "misses": 0}
     for key in cold:
         c, w = cold[key], warm[key]
         # bit-identical: a warm hit returns the stored report verbatim
@@ -64,7 +63,7 @@ def test_warm_cache_sweep(benchmark, tmp_path):
         wq = w.total("queries") - w.cache_stats.get("queries_served", 0)
         totals["cold_q"] += cq
         totals["warm_q"] += wq
-        for k in ("hits", "misses", "stores", "invalidations"):
+        for k in ("hits", "misses"):
             totals[k] += w.cache_stats.get(k, 0)
         rows.append([key[0], key[1], cq, wq,
                      w.cache_stats.get("hits", 0)])
@@ -78,15 +77,6 @@ def test_warm_cache_sweep(benchmark, tmp_path):
               f"warm {state['warm_secs']:.2f}s; "
               f"query reduction {reduction:.1%}")
     emit("warm_cache", table)
-    emit_json("warm_cache", {
-        "cold_queries": totals["cold_q"],
-        "warm_queries": totals["warm_q"],
-        "query_reduction": round(reduction, 4),
-        "cold_seconds": round(state["cold_secs"], 3),
-        "warm_seconds": round(state["warm_secs"], 3),
-        "pcache": {k: totals[k] for k in
-                   ("hits", "misses", "stores", "invalidations")},
-    })
 
     # the acceptance bar: >= 80% fewer oracle queries when warm
     assert totals["warm_q"] <= 0.2 * totals["cold_q"], totals

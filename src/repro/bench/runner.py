@@ -3,7 +3,6 @@ the statistics the paper's tables report."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..core.analysis import analyze_program, conservative_program
@@ -26,15 +25,6 @@ class SuiteRun:
     avg_preds: float = 0.0
     avg_clauses: float = 0.0
     avg_seconds: float = 0.0
-    # observability totals across all procedures of the run
-    total_queries: int = 0
-    total_cache_hits: int = 0
-    total_queries_saved: int = 0
-    solver_stats: dict = field(default_factory=dict)
-    # persistent-cache (repro.core.cache) counters, when a cache_dir
-    # was passed: hits/misses/stores/invalidations
-    pcache: dict = field(default_factory=dict)
-    wall_seconds: float = 0.0
 
     @property
     def n_warnings(self) -> int:
@@ -57,25 +47,20 @@ def run_suite(suite: Suite, config: AbstractionConfig,
               prune_k: int | None = None, timeout: float | None = 10.0,
               program: Program | None = None,
               max_preds: int = 10, jobs: int = 1,
-              cache_dir: str | None = None,
               self_check: bool = False) -> SuiteRun:
     """Analyze every generated function of a suite under one configuration.
 
-    ``cache_dir`` warm-starts the sweep from the persistent analysis
-    cache; hit/miss counters land in ``SuiteRun.pcache``.
     ``self_check`` certificate-checks every solver answer of the sweep
     (CertificateError on any rejection).
     """
     prog = program if program is not None else compile_suite(suite)
     names = [f.name for f in suite.functions]
-    t0 = time.monotonic()
     report = analyze_program(prog, config=config, prune_k=prune_k,
                              timeout=timeout, proc_names=names,
                              max_preds=max_preds, jobs=jobs,
-                             cache_dir=cache_dir, self_check=self_check)
+                             self_check=self_check)
     run = SuiteRun(suite_name=suite.name, config_name=config.name,
                    prune_k=prune_k, n_procs=len(names))
-    run.wall_seconds = time.monotonic() - t0
     for r in report.reports:
         if r.timed_out:
             run.timed_out.append(r.proc_name)
@@ -84,33 +69,22 @@ def run_suite(suite: Suite, config: AbstractionConfig,
     run.avg_preds = report.avg("n_preds")
     run.avg_clauses = report.avg("n_cover_clauses")
     run.avg_seconds = report.avg("seconds")
-    run.total_queries = report.total("queries")
-    run.total_cache_hits = report.total("cache_hits")
-    run.total_queries_saved = report.total("queries_saved")
-    run.solver_stats = report.solver_totals()
-    run.pcache = dict(report.cache_stats)
     return run
 
 
 def run_conservative(suite: Suite, timeout: float | None = 10.0,
                      program: Program | None = None,
-                     cache_dir: str | None = None,
                      self_check: bool = False) -> SuiteRun:
     """The Cons baseline over a suite."""
     prog = program if program is not None else compile_suite(suite)
     names = [f.name for f in suite.functions]
-    pcache: dict = {}
-    warnings, timeouts = conservative_program(prog, timeout=timeout,
-                                              proc_names=names,
-                                              cache_dir=cache_dir,
-                                              cache_stats_out=pcache,
-                                              self_check=self_check)
     run = SuiteRun(suite_name=suite.name, config_name="Cons", prune_k=None,
                    n_procs=len(names))
+    warnings, _ = conservative_program(prog, timeout=timeout,
+                                       proc_names=names,
+                                       self_check=self_check,
+                                       timeouts_out=run.timed_out)
     run.warnings = {f: sorted(w) for f, w in warnings.items() if w}
-    run.timed_out = []  # conservative_program reports a count only
-    run._cons_timeouts = timeouts  # type: ignore[attr-defined]
-    run.pcache = pcache
     return run
 
 

@@ -277,9 +277,6 @@ def build_ci_parser() -> argparse.ArgumentParser:
     ap.add_argument("--delta-out", metavar="FILE", default=None,
                     help="also write the canonical warning-delta JSON "
                          "(byte-stable; CI diffs it against a golden)")
-    ap.add_argument("--bench-out", metavar="FILE", default=None,
-                    help="write BENCH-style run stats (wall/queries/"
-                         "dirty-set sizes) as JSON")
     return ap
 
 
@@ -362,22 +359,6 @@ def run_ci_cmd(argv: list[str], out=sys.stdout) -> int:
     if args.delta_out:
         with open(args.delta_out, "w") as fh:
             fh.write(render_delta(result.delta))
-    if args.bench_out:
-        import json as _json
-        section = {"suites": {"run": {
-            "wall_seconds": stats["wall_seconds"],
-            "queries": stats["queries"],
-            "analyzed": stats["analyzed"],
-            "dirty": stats["analyzed"],
-            "clean": stats["clean"],
-            "procedures": stats["procedures"],
-            "fingerprints_skipped": stats["fingerprints_skipped"],
-            "files_parsed": stats["files_parsed"],
-        }}}
-        with open(args.bench_out, "w") as fh:
-            _json.dump({"incremental_ci": section}, fh, indent=2,
-                       sort_keys=True)
-            fh.write("\n")
     if result.failed_procs:
         return 4
     return 1 if result.new_warnings else 0

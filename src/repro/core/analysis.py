@@ -135,14 +135,6 @@ class ProgramReport:
     def total(self, attr: str) -> int:
         return sum(getattr(r, attr) for r in self.reports)
 
-    def solver_totals(self) -> dict:
-        """Element-wise sum of the per-procedure SAT-core counters."""
-        out: dict = {}
-        for r in self.reports:
-            for k, v in r.solver_stats.items():
-                out[k] = out.get(k, 0) + v
-        return out
-
 
 def analyze_procedure(program: Program, proc_name: str,
                       config: AbstractionConfig = CONC,
@@ -299,7 +291,8 @@ def conservative_program(program: Program, timeout: float | None = 10.0,
                          cache_dir: str | None = None,
                          cache_stats_out: dict | None = None,
                          self_check: bool = False,
-                         failures_out: dict | None = None):
+                         failures_out: dict | None = None,
+                         timeouts_out: list | None = None):
     """The Cons baseline over a program: (per-proc warning lists, timeouts).
 
     ``cache_dir`` enables the shared persistent cache as in
@@ -308,7 +301,9 @@ def conservative_program(program: Program, timeout: float | None = 10.0,
     (when a dict is passed) instead of being returned.  A procedure
     whose check raises is reported with an empty warning list; pass
     ``failures_out`` (a dict) to collect the structured
-    ``{proc_name: {"type", "message"}}`` failure entries.
+    ``{proc_name: {"type", "message"}}`` failure entries, and
+    ``timeouts_out`` (a list) to collect the names of the procedures
+    that timed out, in ``proc_names`` order.
     """
     from .tasks import AnalysisTask
     names = _proc_names(program, proc_names)
@@ -331,6 +326,8 @@ def conservative_program(program: Program, timeout: float | None = 10.0,
         warnings[res.proc_name] = res.cons_warnings
         if res.cons_timed_out:
             timeouts += 1
+            if timeouts_out is not None:
+                timeouts_out.append(res.proc_name)
     if cache_stats_out is not None:
         cache_stats_out.update(
             merge_cache_stats(r.cache_stats for r in results))

@@ -144,8 +144,8 @@ class AnalysisCache:
         return cls(cache)
 
     def stats(self) -> dict:
-        """Counters for the observability layer (summed per sweep and
-        surfaced as ``pcache`` in ``BENCH_perf.json``)."""
+        """Counters for the observability layer (summed per sweep into
+        ``ProgramReport.cache_stats`` and ``CiResult.stats["cache"]``)."""
         return {"hits": self.hits, "misses": self.misses,
                 "stores": self.stores, "invalidations": self.invalidations,
                 "queries_served": self.queries_served}

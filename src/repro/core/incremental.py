@@ -56,7 +56,7 @@ affect, not for the whole repo.  This module is that driver:
 ``docs/ci_mode.md`` documents the manifest format, the dirty-set rules
 and the delta-report glossary; ``tools/ci_smoke.py`` is the end-to-end
 CI exercise (cold sweep, scripted one-procedure edit, re-run, golden
-delta compare, ``BENCH_incremental.json``).
+delta compare).
 """
 
 from __future__ import annotations

@@ -17,12 +17,10 @@ CLI tool (``tools/scenario_report.py``) and tests can consume it::
         "configs": {config_name: {
             "correct": int, "false_positives": int,
             "false_negatives": int, "fp_rate": float,
-            "timeouts": int, "wall_seconds": float}}}}
+            "timeouts": int}}}}
 """
 
 from __future__ import annotations
-
-import time
 
 from ..core.config import BY_NAME
 from .generators import SCENARIO_SUITE_RECIPES, make_scenario_suite
@@ -34,7 +32,6 @@ SWEEP_CONFIGS = ("Conc", "A0", "A1", "A2")
 
 def classification_sweep(scale: float = 1.0, timeout: float | None = 10.0,
                          suite_names: list[str] | None = None,
-                         cache_dir: str | None = None,
                          self_check: bool = False) -> dict:
     """Sweep every scenario suite through the configuration ladder and
     the Cons baseline, classifying against ground truth."""
@@ -50,18 +47,14 @@ def classification_sweep(scale: float = 1.0, timeout: float | None = 10.0,
                  "labels": suite.n_labeled_asserts,
                  "buggy": suite.n_buggy,
                  "configs": {}}
-        runs = []
-        for cfg_name in SWEEP_CONFIGS:
-            t0 = time.monotonic()
-            run = run_suite(suite, BY_NAME[cfg_name], timeout=timeout,
-                            program=program, cache_dir=cache_dir,
-                            self_check=self_check)
-            runs.append((cfg_name, run, time.monotonic() - t0))
-        t0 = time.monotonic()
-        cons = run_conservative(suite, timeout=timeout, program=program,
-                                cache_dir=cache_dir, self_check=self_check)
-        runs.append(("Cons", cons, time.monotonic() - t0))
-        for cfg_name, run, wall in runs:
+        runs = [(cfg_name, run_suite(suite, BY_NAME[cfg_name],
+                                     timeout=timeout, program=program,
+                                     self_check=self_check))
+                for cfg_name in SWEEP_CONFIGS]
+        runs.append(("Cons", run_conservative(suite, timeout=timeout,
+                                              program=program,
+                                              self_check=self_check)))
+        for cfg_name, run in runs:
             cl = classify(suite, run)
             total = cl.total
             entry["configs"][cfg_name] = {
@@ -71,7 +64,6 @@ def classification_sweep(scale: float = 1.0, timeout: float | None = 10.0,
                 "fp_rate": round(cl.false_positives / total, 4)
                 if total else 0.0,
                 "timeouts": run.n_timeouts,
-                "wall_seconds": round(wall, 3),
             }
         out[name] = entry
     return out
@@ -90,29 +82,3 @@ def scenario_table(sweep: dict) -> str:
                          c["correct"], c["false_positives"],
                          c["false_negatives"], f"{c['fp_rate']:.2f}"])
     return render_table(headers, rows)
-
-
-def sweep_bench_section(sweep: dict) -> dict:
-    """The BENCH_scenarios.json payload, shaped for
-    ``tools/bench_compare.py``: one suite record per suite x config with
-    a ``wall_seconds`` counter plus the classification counts."""
-    suites = {}
-    for name, entry in sweep.items():
-        for cfg_name, c in entry["configs"].items():
-            suites[f"{name}/{cfg_name}"] = {
-                "wall_seconds": c["wall_seconds"],
-                "correct": c["correct"],
-                "false_positives": c["false_positives"],
-                "false_negatives": c["false_negatives"],
-                "timeouts": c["timeouts"],
-            }
-    return {"scenario_classification": {"suites": suites}}
-
-
-def self_check_sweep(scale: float = 0.5,
-                     timeout: float | None = 10.0) -> dict:
-    """The certificate-checked sweep the CI job runs: every solver
-    answer across every scenario suite must carry an accepted
-    certificate (CertificateError propagates to the caller)."""
-    return classification_sweep(scale=scale, timeout=timeout,
-                                self_check=True)

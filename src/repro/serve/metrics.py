@@ -3,9 +3,8 @@
 Everything here is deliberately dependency-free and cheap to update —
 one dict lookup and an integer increment per observation — because it
 sits on the request hot path.  The ``metrics`` protocol verb returns
-:meth:`ServerMetrics.snapshot`, and the load-generator benchmark dumps
-the same snapshot into ``BENCH_serve.json`` (see the metrics glossary
-in ``docs/serving.md``).
+:meth:`ServerMetrics.snapshot` (see the metrics glossary in
+``docs/serving.md``).
 """
 
 from __future__ import annotations

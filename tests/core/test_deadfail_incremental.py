@@ -182,7 +182,8 @@ def test_search_equals_seed_reference(body, prune_k):
     # enumeration trades cache completeness for early exit and witness
     # harvesting is model-dependent, so tiny adversarial programs can tip
     # either way.  The aggregate saving is what matters and is measured
-    # on the real suites (BENCH_perf.json).
+    # on the real suites (``core.deadfail.queries_saved`` in a
+    # ``benchmarks/e2e/run.py --trace`` run).
 
 
 # ----------------------------------------------------------------------

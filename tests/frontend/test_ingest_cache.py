@@ -160,7 +160,8 @@ def test_corrupt_record_is_reparsed_and_overwritten(tmp_path, corrupt):
     assert again.invalidations == 0
 
 
-def test_run_ci_and_bench_out_report_files_parsed(tmp_path):
+def test_run_ci_reports_files_parsed_and_cli_no_cache_skips_records(
+        tmp_path):
     repo = make_repo(tmp_path)
     cache = str(tmp_path / "cache")
     cold = run_ci(repo, tmp_path / "m.json", cache_dir=cache)
@@ -173,14 +174,13 @@ def test_run_ci_and_bench_out_report_files_parsed(tmp_path):
     uncached = run_ci(repo, tmp_path / "m2.json")
     assert uncached.stats["files_parsed"] == 4
 
-    bench = tmp_path / "bench.json"
-    argv = ["ci", str(repo), "--manifest", str(tmp_path / "m.json"),
-            "--cache-dir", cache, "--bench-out", str(bench)]
-    for extra, parsed in (([], 0), (["--no-cache"], 4)):
-        assert cli_run(argv + extra, out=io.StringIO()) == 0
-        run_stats = json.loads(bench.read_text())["incremental_ci"][
-            "suites"]["run"]
-        assert run_stats["files_parsed"] == parsed
+    argv = ["ci", str(repo), "--manifest", str(tmp_path / "m.json")]
+    on, off = tmp_path / "cli-cache", tmp_path / "cli-no-cache"
+    assert cli_run(argv + ["--cache-dir", str(on)], out=io.StringIO()) == 0
+    assert len(list((on / "parse").glob("*.json"))) == 4
+    assert cli_run(argv + ["--cache-dir", str(off), "--no-cache"],
+                   out=io.StringIO()) == 0
+    assert not (off / "parse").exists()
 
 
 # ----------------------------------------------------------------------

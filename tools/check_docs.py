@@ -12,6 +12,14 @@
    architecture.md, serving.md and cli.md, and must link back to the
    single-daemon and cache pages it builds on.  A doc restructure that
    orphans a page fails here, not in a reader's dead end.
+4. **Path check**: every repo path named in inline code in README.md
+   and docs/*.md must exist.  A repo path is a whitespace-separated
+   token that starts with ``src/``, ``tests/``, ``tools/``,
+   ``benchmarks/``, ``docs/`` or ``examples/``, or names a root file
+   such as ``DESIGN.md``; a ``::test`` or ``:line`` suffix and a
+   ``#anchor`` are dropped, and tokens with a ``*``, ``<``, ``>``,
+   ``{`` or ``$`` (patterns and placeholders) are skipped.  Deleting a
+   file without updating the pages that name it fails here.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 """
@@ -29,6 +37,15 @@ REPO = Path(__file__).resolve().parent.parent
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _FENCE = re.compile(r"^```(\w*)\s*$")
 _SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
+
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_PATH_PREFIXES = ("src/", "tests/", "tools/", "benchmarks/", "docs/",
+                  "examples/")
+# root files are named in capitals by convention (README.md,
+# BENCHMARK.json); the extension list keeps `SibStatus.CORRECT` out
+_ROOT_FILE = re.compile(r"^[A-Z][\w-]*\.(md|json|jsonl|toml)$")
+_PATH_SUFFIX = re.compile(r"::|:\d|#")
+_PLACEHOLDER = set("*<>{$")
 
 
 def doc_files() -> list[Path]:
@@ -76,6 +93,20 @@ def check_snippets(path: Path) -> list[str]:
         except SyntaxError as exc:
             problems.append(f"{path.relative_to(REPO)}:{lineno}: "
                             f"python snippet does not compile: {exc}")
+    return problems
+
+
+def check_paths(path: Path) -> list[str]:
+    problems = []
+    for match in _CODE_SPAN.finditer(path.read_text()):
+        for token in match.group(1).split():
+            if _PLACEHOLDER & set(token):
+                continue
+            rel = _PATH_SUFFIX.split(token, 1)[0]
+            if (rel.startswith(_PATH_PREFIXES) or _ROOT_FILE.match(rel)) \
+                    and not (REPO / rel).exists():
+                problems.append(f"{path.relative_to(REPO)}: names a "
+                                f"missing path `{token}`")
     return problems
 
 
@@ -141,6 +172,7 @@ def main() -> int:
     for path in doc_files():
         problems += check_links(path)
         problems += check_snippets(path)
+        problems += check_paths(path)
     problems += check_cross_links()
     for p in problems:
         print(p, file=sys.stderr)
@@ -148,7 +180,7 @@ def main() -> int:
         n = len(doc_files())
         print(f"docs OK: {n} files, links resolve, snippets compile, "
               f"{sum(map(len, REQUIRED_LINKS.values()))} required "
-              f"cross-links present")
+              f"cross-links present, named paths exist")
     return 1 if problems else 0
 
 

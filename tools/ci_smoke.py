@@ -17,19 +17,16 @@ mode is sold on:
 5. the re-run's wall time is at most 25% of the cold sweep's;
 6. the ``repro ci`` CLI verb reports the same dirty set and exit codes.
 
-Writes ``BENCH_incremental.json`` (section ``incremental_ci``, suites
-``cold`` / ``edit_rerun``) in the same shape ``tools/bench_compare.py``
-diffs, then exits 0 on success and 1 on the first violated assertion.
+Exits 0 when every check passes and 1 otherwise.
 
 Usage::
 
-    python tools/ci_smoke.py [--out BENCH_incremental.json] [--jobs N]
+    python tools/ci_smoke.py [--jobs N]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import subprocess
 import sys
@@ -64,15 +61,6 @@ def check(cond: bool, label: str, detail: str = "") -> None:
         _failures += 1
 
 
-def suite_stats(result, wall: float) -> dict:
-    return {"wall_seconds": round(wall, 3),
-            "queries": result.stats["queries"],
-            "analyzed": result.stats["analyzed"],
-            "dirty": result.stats["analyzed"],
-            "clean": result.stats["clean"],
-            "procedures": result.stats["procedures"]}
-
-
 def apply_edit(repo: Path) -> None:
     src = repo / EDIT_FILE
     text = src.read_text()
@@ -80,7 +68,7 @@ def apply_edit(repo: Path) -> None:
     src.write_text(text.replace(EDIT_OLD, EDIT_NEW))
 
 
-def run_api_cycle(jobs: int) -> dict:
+def run_api_cycle(jobs: int) -> None:
     tmp = Path(tempfile.mkdtemp(prefix="ci-smoke-"))
     repo = tmp / "repo"
     shutil.copytree(FIXTURE, repo)
@@ -126,9 +114,6 @@ def run_api_cycle(jobs: int) -> dict:
           f"cold {cold_wall:.3f}s, re-run {rerun_wall:.3f}s "
           f"({ratio:.0%})")
 
-    return {"cold": suite_stats(cold, cold_wall),
-            "edit_rerun": suite_stats(rerun, rerun_wall)}
-
 
 def run_cli_cycle() -> None:
     """The same cycle through the ``repro ci`` verb: dirty-set line,
@@ -166,18 +151,12 @@ def run_cli_cycle() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="ci_smoke")
-    ap.add_argument("--out", type=Path,
-                    default=REPO / "BENCH_incremental.json")
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
 
-    suites = run_api_cycle(args.jobs)
+    run_api_cycle(args.jobs)
     run_cli_cycle()
 
-    args.out.write_text(json.dumps(
-        {"incremental_ci": {"suites": suites}}, indent=2, sort_keys=True)
-        + "\n")
-    print(f"wrote {args.out}")
     if _failures:
         print(f"ci_smoke: {_failures} check(s) FAILED", file=sys.stderr)
         return 1

@@ -5,13 +5,11 @@ Figure-7-style experiment).
 Sweeps the five per-class scenario suites
 (`repro.scenarios.generators`) through Conc/A0/A1/A2 plus the Cons
 baseline, classifies every labeled assertion against its
-construction-known ground truth, prints the per-class table, and writes
-``BENCH_scenarios.json`` shaped for ``tools/bench_compare.py``.
+construction-known ground truth, and prints the per-class table.
 
 ``--self-check`` certificate-checks every solver answer of the sweep
 (exit 3 on any rejected certificate).  The CI ``scenario-smoke`` job
-runs ``--scale 0.5 --self-check`` and diffs the JSON against
-``benchmarks/baselines/BENCH_scenarios_baseline.json``.
+runs ``--scale 0.5 --self-check``.
 
 Acceptance bars (exit 1 when violated):
 
@@ -23,13 +21,12 @@ Acceptance bars (exit 1 when violated):
 Usage::
 
     python tools/scenario_report.py [--scale 1.0] [--timeout 10]
-                                    [--self-check] [--out BENCH_scenarios.json]
+                                    [--self-check]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -37,11 +34,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.scenarios.classes import NULL_DEREF            # noqa: E402
 from repro.scenarios.report import (SWEEP_CONFIGS,        # noqa: E402
-                                    classification_sweep, scenario_table,
-                                    sweep_bench_section)
+                                    classification_sweep, scenario_table)
 from repro.smt.api import CertificateError                # noqa: E402
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,9 +47,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="per-procedure timeout in seconds (default 10)")
     ap.add_argument("--self-check", action="store_true",
                     help="certificate-check every solver answer")
-    ap.add_argument("--out", default=str(REPO / "BENCH_scenarios.json"),
-                    help="BENCH JSON output path "
-                         "(default: BENCH_scenarios.json)")
     args = ap.parse_args(argv)
 
     try:
@@ -86,10 +77,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"FN={cons['false_negatives']})")
             ok = False
 
-    payload = sweep_bench_section(sweep)
-    out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
     if not ok:
         return 1
     print("scenario_report: all checks passed")

@@ -16,10 +16,9 @@ Theory lemmas inside the proofs are certificate-checked too (the
 (exit 1) if any lemma was admitted on trust or none was checked.
 
 ``--compare-trusted`` re-runs the sweep with
-``tuning(checked_theory_lemmas=False)`` and writes both checking walls
-(and their ratio) into ``BENCH_perf.json`` under
-``selfcheck_checked_lemmas``; the acceptance bar is a checked/trusted
-overhead ratio of at most 2x.
+``tuning(checked_theory_lemmas=False)`` and prints both checking walls
+and their ratio; the acceptance bar is a checked/trusted overhead ratio
+of at most 2x.
 
 Usage::
 
@@ -81,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="per-procedure timeout in seconds (default 30)")
     ap.add_argument("--compare-trusted", action="store_true",
                     help="re-run with checked_theory_lemmas off and "
-                         "record both checking walls in BENCH_perf.json")
+                         "compare the two checking walls")
     args = ap.parse_args(argv)
 
     t0 = time.monotonic()
@@ -130,20 +129,6 @@ def main(argv: list[str] | None = None) -> int:
               f"{trusted['lemmas_trusted']} "
               f"check_wall={trusted_wall:.3f}s in {trusted_elapsed:.1f}s")
         print(f"checking-wall ratio (checked/trusted): {ratio:.2f}x")
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent
-                               / "benchmarks"))
-        from _util import emit_json
-        emit_json("selfcheck_checked_lemmas", {
-            "scale": args.scale,
-            "lemmas_checked": totals["lemmas_checked"],
-            "lemmas_trusted_rerun": trusted["lemmas_trusted"],
-            "check_wall_checked_s": round(checked_wall, 4),
-            "check_wall_trusted_s": round(trusted_wall, 4),
-            "check_wall_ratio": (round(ratio, 3)
-                                 if ratio != float("inf") else None),
-            "sweep_wall_checked_s": round(elapsed, 2),
-            "sweep_wall_trusted_s": round(trusted_elapsed, 2),
-        })
         if ratio > 2.0:
             print(f"error: checked-lemma checking wall is {ratio:.2f}x the "
                   "trusted-lemma wall (bar: 2x)", file=sys.stderr)
