@@ -64,7 +64,8 @@ class Solver:
         self.last_model = None  # repro.smt.model.Model after a validated sat
         self.certificates = {"sat_checked": 0, "unsat_checked": 0,
                              "proof_steps": 0, "lemmas_checked": 0,
-                             "lemmas_trusted": 0, "check_wall": 0.0}
+                             "lemmas_trusted": 0, "model_fallbacks": 0,
+                             "check_wall": 0.0}
         self._proof_checker = None
         self._proof_pos = 0
         if validate:

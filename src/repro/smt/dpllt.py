@@ -509,38 +509,15 @@ class TheoryCore(TheoryInterface):
 
     def _collect_lia_raw(self):
         eqs, ineqs, diseqs = [], [], []
+        lists = {"eq": eqs, "le": ineqs, "ne": diseqs}
         key_terms: dict[int, Term] = {}
         for lit in self._lits:
-            atom = self.cnf.var_to_atom.get(abs(lit))
-            if atom is None:
+            parsed = self._parse_lit(lit)
+            if parsed is None:
                 continue
-            op = atom.op
-            if op is Op.EQ and atom.args[0].sort is Sort.INT:
-                coeffs, const, kt = _lin_diff(atom.args[0], atom.args[1])
-                key_terms.update(kt)
-                prem = frozenset({("lit", lit)})
-                if lit > 0:
-                    eqs.append((coeffs, const, prem))
-                else:
-                    diseqs.append((coeffs, const, prem))
-            elif op is Op.LE:
-                coeffs, const, kt = _lin_diff(atom.args[0], atom.args[1])
-                key_terms.update(kt)
-                prem = frozenset({("lit", lit)})
-                if lit > 0:
-                    ineqs.append((coeffs, const, prem))       # a - b <= 0
-                else:
-                    neg = {k: -v for k, v in coeffs.items()}
-                    ineqs.append((neg, -const + 1, prem))     # b - a + 1 <= 0
-            elif op is Op.LT:
-                coeffs, const, kt = _lin_diff(atom.args[0], atom.args[1])
-                key_terms.update(kt)
-                prem = frozenset({("lit", lit)})
-                if lit > 0:
-                    ineqs.append((coeffs, const + 1, prem))   # a - b + 1 <= 0
-                else:
-                    neg = {k: -v for k, v in coeffs.items()}
-                    ineqs.append((neg, -const, prem))         # b - a <= 0
+            kind, coeffs, const, kt = parsed
+            key_terms.update(kt)
+            lists[kind].append((coeffs, const, frozenset({("lit", lit)})))
         self._key_terms.update(key_terms)
         return eqs, ineqs, diseqs, key_terms
 

@@ -1,19 +1,30 @@
-"""Best-effort model extraction for satisfiable queries.
+"""Model extraction for satisfiable queries.
 
 The DPLL(T) core certifies satisfiability without producing an integer
 assignment (Fourier–Motzkin decides feasibility but does not name a
-witness).  This module reconstructs one after a ``sat`` answer:
+witness).  This module builds one after a ``sat`` answer from the state
+the solver is left in:
 
-1. collect the theory atoms the SAT trail asserts, with their polarity;
-2. solve the induced LIA system by greedy value search per variable,
-   using the (exact, cached) FM feasibility oracle to validate each
-   choice, with soft distinctness between unmerged interface terms so
-   uninterpreted functions stay consistent;
+1. collect the theory atoms the SAT trail asserts, with their polarity,
+   the linear facts they stand for, and the equalities the congruence
+   closure implies;
+2. Gaussian-eliminate the equations (the LIA solver's memoized presolve),
+   eliminate the remaining variables as Fourier–Motzkin does while
+   keeping each level's rows, and back-substitute: each variable takes
+   the integer within its bounds nearest 0 that no other key uses yet
+   (distinct values keep map cells and function rows apart), then the
+   substitution chain is walked in reverse;
 3. assign every congruence class a value (constants, LIA values, or
-   fresh distinct values);
+   fresh distinct values) and read the map and function tables off it;
 4. **verify**: every asserted atom is re-evaluated under the candidate
-   assignment; on any mismatch extraction returns ``None`` rather than a
-   wrong model.
+   assignment.
+
+When step 2 finds no integer point, or step 3 or 4 a collision, the
+value search :func:`search_model` takes over and is counted in the
+solver's ``certificates["model_fallbacks"]``.  It pins one key at a
+time, validating each choice with the FM feasibility oracle, and
+propagates Ackermann equalities between selects or applications whose
+arguments meet.
 
 Because of step 4 a returned :class:`Model` is always genuine.  The
 extractor can fail (return ``None``) on exotic instances; the test suite
@@ -23,10 +34,13 @@ pins the supported fragment.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import ceil, floor
 
 from .api import Solver
 from .dpllt import _lin_diff, linearize
 from .terms import Op, Sort, Term
+from .theories.lia import LiaSolver, _tighten, lin_add, lin_scale
 
 
 class Model:
@@ -125,12 +139,20 @@ def extract_model(solver: Solver, search_bound: int = 8,
     """Reconstruct a model after ``solver.check(...) == 'sat'``.
 
     Returns ``None`` when reconstruction fails (never a wrong model)."""
-    theory = solver.theory
-    atoms: list[tuple[Term, bool]] = []
-    for lit in theory._lits:
-        atom = solver.cnf.var_to_atom.get(abs(lit))
-        if atom is not None:
-            atoms.append((atom, lit > 0))
+    atoms = _trail_atoms(solver)
+    model = _build_from_state(solver.theory, atoms)
+    if model is not None and _verify(model, atoms):
+        return model
+    solver.certificates["model_fallbacks"] += 1
+    return search_model(solver, search_bound, retries)
+
+
+def search_model(solver: Solver, search_bound: int = 8,
+                 retries: int = 4) -> Model | None:
+    """The fallback builder: value search with widening bounds.
+
+    Returns ``None`` when every attempt fails (never a wrong model)."""
+    atoms = _trail_atoms(solver)
     for attempt in range(retries):
         model = _try_build(solver, atoms, search_bound << attempt, attempt)
         if model is None:
@@ -140,15 +162,24 @@ def extract_model(solver: Solver, search_bound: int = 8,
     return None
 
 
-def _class_equalities_all(theory) -> list:
+def _trail_atoms(solver: Solver) -> list[tuple[Term, bool]]:
+    atoms: list[tuple[Term, bool]] = []
+    for lit in solver.theory._lits:
+        atom = solver.cnf.var_to_atom.get(abs(lit))
+        if atom is not None:
+            atoms.append((atom, lit > 0))
+    return atoms
+
+
+def _class_equalities_all(classes: dict) -> list:
     """Equations between *all* integer members of each congruence class.
 
     The solving pipeline only needs equalities over LIA-relevant terms,
     but model construction must respect congruence-derived equalities over
     terms LIA never saw (nested selects being the canonical case), or the
-    soft-distinctness pass can pull congruent terms apart."""
+    per-key value choices can pull congruent terms apart."""
     out = []
-    for members in theory.euf.equivalence_classes().values():
+    for members in classes.values():
         ints = [m for m in members if m.sort is Sort.INT]
         if len(ints) < 2:
             continue
@@ -160,11 +191,157 @@ def _class_equalities_all(theory) -> list:
     return out
 
 
-def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
-    theory = solver.theory
+def _applications(classes: dict) -> list[tuple[tuple, Term, tuple]]:
+    """Every select of a map variable and every uninterpreted
+    application among the registered terms, as (table, term, argument
+    terms): the terms whose values become map cells and table rows."""
+    apps = []
+    for members in classes.values():
+        for m in members:
+            if m.op is Op.SELECT and m.args[0].op is Op.VAR:
+                apps.append((("map", m.args[0].name), m, (m.args[1],)))
+            elif m.op is Op.APPLY:
+                apps.append((("fun", m.payload[0]), m, m.args))
+    return apps
+
+
+def _build_from_state(theory, atoms) -> Model | None:
+    """A model read off the solver's final theory state by elimination
+    and back-substitution; None when that gives no integer point that
+    keeps every trail disequality, or the tables collide."""
+    classes = theory.euf.equivalence_classes()
     eqs, ineqs, diseqs, key_terms = theory._collect_lia()
     eqs = eqs + theory._euf_equalities_for_lia(key_terms) + \
-        _class_equalities_all(theory)
+        _class_equalities_all(classes)
+    pre = theory.lia._presolve(eqs, ineqs)
+    if pre.conflict is not None:
+        return None  # should not happen after a sat answer
+    levels = _fm_levels(pre.reduced, theory.lia.budget)
+    if levels is None:
+        return None
+    assigned: dict[int, int] = {}
+    # keys also keep clear of the constants, which index cells too
+    used = {m.value for members in classes.values() for m in members
+            if m.op is Op.INTCONST}
+
+    def give(key: int, lo=None, hi=None) -> None:
+        value = _pick(lo, hi, used)
+        assigned[key] = value
+        used.add(value)
+
+    for var, rows in reversed(levels):
+        lo = hi = None
+        for coeffs, const, _ in rows:
+            rest = const
+            for k, c in coeffs.items():
+                if k == var:
+                    continue
+                if k not in assigned:
+                    # every row of k went in a one-sided elimination, so
+                    # k has no level of its own and any value works
+                    give(k)
+                rest += c * assigned[k]
+            a = coeffs[var]       # a * var + rest <= 0
+            if a > 0:
+                bound = floor(-rest / a)
+                hi = bound if hi is None else min(hi, bound)
+            else:
+                bound = ceil(rest / -a)
+                lo = bound if lo is None else max(lo, bound)
+        if lo is not None and hi is not None and lo > hi:
+            return None
+        give(var, lo, hi)
+    for var, coeffs, const, _ in reversed(pre.subs):
+        value = const
+        for k, c in coeffs.items():
+            if k not in assigned:
+                give(k)
+            value += c * assigned[k]
+        if value.denominator != 1:
+            return None
+        assigned[var] = int(value)
+        used.add(int(value))
+    apps = _applications(classes)
+    free = [k for _, _, args in apps for arg in args
+            for k in linearize(arg)[0]]
+    free += [t.tid for _, t, _ in apps]
+    free += [k for c in diseqs for k in c[0]]
+    for k in free:
+        if k not in assigned:
+            give(k)
+    for coeffs, const, _ in diseqs:
+        if const + sum(c * assigned[k] for k, c in coeffs.items()) == 0:
+            return None
+    return _tables(theory, classes, assigned, key_terms, atoms,
+                   max(used | {0}) + 101)
+
+
+def _fm_levels(rows, budget: int) -> list[tuple[int, list]] | None:
+    """Fourier–Motzkin elimination in :meth:`LiaSolver._fm_raw`'s
+    variable order, returning (variable, rows that bound it) per level;
+    None when the rows are infeasible or exceed ``budget`` derived rows.
+    A level's rows mention only its variable and variables eliminated
+    later (or never: those whose rows all went in one-sided
+    eliminations), so assigning the levels in reverse meets every
+    bound."""
+    levels = []
+    current = list(rows)
+    while current:
+        counts: dict = {}
+        for coeffs, _, _ in current:
+            for k, v in coeffs.items():
+                pos, neg = counts.get(k, (0, 0))
+                counts[k] = (pos + 1, neg) if v > 0 else (pos, neg + 1)
+        var = min(counts, key=lambda k: counts[k][0] * counts[k][1])
+        pos_cs, neg_cs, new = [], [], []
+        for row in current:
+            v = row[0].get(var)
+            if v is None:
+                new.append(row)
+            else:
+                (pos_cs if v > 0 else neg_cs).append(row)
+        levels.append((var, pos_cs + neg_cs))
+        for pc, pk, _ in pos_cs:
+            for nc, nk, _ in neg_cs:
+                a, b = pc[var], -nc[var]
+                coeffs = lin_add(lin_scale(pc, b), lin_scale(nc, a))
+                coeffs.pop(var, None)
+                coeffs, const = _tighten(coeffs, b * pk + a * nk)
+                if not coeffs:
+                    if const > 0:
+                        return None
+                    continue
+                new.append((coeffs, const, None))
+                budget -= 1
+                if budget <= 0:
+                    return None
+        current = LiaSolver._prune(new)
+    return levels
+
+
+def _pick(lo: int | None, hi: int | None, used: set[int]) -> int:
+    """The integer in [lo, hi] nearest 0 (positive first on a tie) that
+    is not in ``used``; the one nearest 0 when every one is."""
+    start = 0 if lo is None or lo <= 0 else lo
+    if hi is not None and hi < start:
+        start = hi
+    for d in count():
+        up = hi is None or start + d <= hi
+        down = lo is None or start - d >= lo
+        if not (up or down):
+            return start
+        if up and start + d not in used:
+            return start + d
+        if down and start - d not in used:
+            return start - d
+
+
+def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
+    theory = solver.theory
+    classes = theory.euf.equivalence_classes()
+    eqs, ineqs, diseqs, key_terms = theory._collect_lia()
+    eqs = eqs + theory._euf_equalities_for_lia(key_terms) + \
+        _class_equalities_all(classes)
     # soft distinctness between unmerged interface terms keeps
     # uninterpreted functions consistent under the chosen values
     soft_diseqs = []
@@ -191,17 +368,6 @@ def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
     keys = sorted({k for cs in (eqs, ineqs) for c in cs for k in c[0]} |
                   {k for c in diseqs for k in c[0]})
     assigned: dict[int, int] = {}
-
-    def linear_value(t: Term) -> int | None:
-        cs, k, _ = linearize(t)
-        total = k
-        for tid, coeff in cs.items():
-            if tid not in assigned:
-                return None
-            total += coeff * assigned[tid]
-        return int(total) if total.denominator == 1 else None
-
-    classes = theory.euf.equivalence_classes()
     # Ackermann propagation: LIA sees each select and each uninterpreted
     # application as an opaque key, so when greedy pinning settles two
     # indices of the same map — or the argument tuples of the same
@@ -209,15 +375,8 @@ def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
     # their cells/table rows collide (y pinned into {-1,0} with M[-1],
     # M[0], M[y] all constrained is the canonical failure).  Each entry
     # is (group key, term, argument terms that must match).
-    apps: list[tuple[tuple, Term, tuple[Term, ...]]] = []
-    selects: list[Term] = []
-    for members in classes.values():
-        for m in members:
-            if m.op is Op.SELECT and m.args[0].op is Op.VAR:
-                selects.append(m)
-                apps.append((("map", m.args[0].name), m, (m.args[1],)))
-            elif m.op is Op.APPLY:
-                apps.append((("fun", m.payload[0]), m, m.args))
+    apps = _applications(classes)
+
     def ackermann_eqs(merged: frozenset) -> tuple[list, frozenset]:
         out, pairs = [], set()
         for i in range(len(apps)):
@@ -226,7 +385,8 @@ def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
                 if ga != gb or len(argsa) != len(argsb) or \
                         (a.tid, b.tid) in merged:
                     continue
-                vals = [(linear_value(x), linear_value(y))
+                vals = [(_linear_value(x, assigned),
+                         _linear_value(y, assigned))
                         for x, y in zip(argsa, argsb)]
                 if any(va is None or vb is None or va != vb
                        for va, vb in vals):
@@ -300,12 +460,30 @@ def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
 
     if not pin_search(0, work_eqs, diseqs, merged0):
         return None
+    return _tables(theory, classes, assigned, key_terms, atoms,
+                   max(set(assigned.values()) | {bound}) + 101)
+
+
+def _linear_value(t: Term, assigned: dict[int, int]) -> int | None:
+    cs, k, _ = linearize(t)
+    total = k
+    for tid, coeff in cs.items():
+        if tid not in assigned:
+            return None
+        total += coeff * assigned[tid]
+    return int(total) if total.denominator == 1 else None
+
+
+def _tables(theory, classes: dict, assigned: dict[int, int], key_terms,
+            atoms, fresh: int) -> Model | None:
+    """The model both builders share once every key has a value: one
+    value per congruence class, the map and function tables read off
+    the classes, LIA-only and boolean variables.  ``fresh`` must exceed
+    every assigned value.  None on a map-cell or table-row conflict."""
     # congruence classes -> values; prefer interpreted constants, then
     # LIA-assigned keys, then linear combinations of assigned keys, then
     # fresh distinct values
     class_value: dict[int, int] = {}
-    used = set(assigned.values())
-    fresh = max(used | {bound}) + 101
     for root, members in classes.items():
         value = None
         for m in members:
@@ -319,7 +497,7 @@ def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
                     break
         if value is None:
             for m in members:
-                value = linear_value(m)
+                value = _linear_value(m, assigned)
                 if value is not None:
                     break
         if value is None:
@@ -340,7 +518,7 @@ def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
             return assigned[t.tid]
         if t.op is Op.INTCONST:
             return t.value
-        lv = linear_value(t)
+        lv = _linear_value(t, assigned)
         return lv if lv is not None else 0
 
     for root, members in classes.items():
@@ -355,7 +533,7 @@ def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
                 idx = value_of(m.args[1])
                 want = class_value[m.tid]
                 if entries.get(idx, want) != want:
-                    return None  # cell conflict: retry with another salt
+                    return None  # cell conflict
                 entries[idx] = want
                 map_values[name] = (entries, default)
             elif m.op is Op.APPLY:
@@ -363,7 +541,7 @@ def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
                 key = (m.payload[0], args)
                 want = class_value[m.tid]
                 if fun_tables.get(key, want) != want:
-                    return None  # table conflict: retry
+                    return None  # table conflict
                 fun_tables[key] = want
     # int vars only seen by LIA (no EUF class) still need values
     for tid, term in dict(theory._key_terms).items():

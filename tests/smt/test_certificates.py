@@ -79,7 +79,8 @@ def test_validate_off_tracks_nothing():
     assert s.check() == "unsat"
     assert s.certificates == {"sat_checked": 0, "unsat_checked": 0,
                               "proof_steps": 0, "lemmas_checked": 0,
-                              "lemmas_trusted": 0, "check_wall": 0.0}
+                              "lemmas_trusted": 0, "model_fallbacks": 0,
+                              "check_wall": 0.0}
 
 
 def test_solve_formula_validate_flag():

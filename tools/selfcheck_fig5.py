@@ -15,6 +15,11 @@ Theory lemmas inside the proofs are certificate-checked too (the
 ``lemmas_checked`` / ``lemmas_trusted`` / ``check_wall`` and fails
 (exit 1) if any lemma was admitted on trust or none was checked.
 
+Every sat model should come straight from the solver's final theory
+state; ``model_fallbacks`` counts the ones that needed the slower value
+search (``repro.smt.model.search_model``), and a nonzero total fails the
+run (exit 1).
+
 ``--compare-trusted`` re-runs the sweep with
 ``tuning(checked_theory_lemmas=False)`` and prints both checking walls
 and their ratio; the acceptance bar is a checked/trusted overhead ratio
@@ -41,7 +46,8 @@ from repro.frontend import compile_c                      # noqa: E402
 from repro.smt.api import CertificateError                # noqa: E402
 
 _CERT_KEYS = ("sat_checked", "unsat_checked", "proof_steps",
-              "lemmas_checked", "lemmas_trusted", "check_wall")
+              "lemmas_checked", "lemmas_trusted", "model_fallbacks",
+              "check_wall")
 
 
 def _sweep(scale: float, timeout: float) -> dict:
@@ -65,7 +71,8 @@ def _sweep(scale: float, timeout: float) -> dict:
               f"unsat_checked={counts['unsat_checked']} "
               f"proof_steps={counts['proof_steps']} "
               f"lemmas_checked={counts['lemmas_checked']} "
-              f"lemmas_trusted={counts['lemmas_trusted']}")
+              f"lemmas_trusted={counts['lemmas_trusted']} "
+              f"model_fallbacks={counts['model_fallbacks']}")
     return totals
 
 
@@ -95,6 +102,7 @@ def main(argv: list[str] | None = None) -> int:
           f"proof_steps={totals['proof_steps']} "
           f"lemmas_checked={totals['lemmas_checked']} "
           f"lemmas_trusted={totals['lemmas_trusted']} "
+          f"model_fallbacks={totals['model_fallbacks']} "
           f"check_wall={totals['check_wall']:.3f}s in {elapsed:.1f}s")
     if totals["sat_checked"] + totals["unsat_checked"] == 0:
         print("error: no certificates were checked — self-check did not "
@@ -104,6 +112,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {totals['lemmas_trusted']} theory lemma(s) admitted "
               "on trust — checked_theory_lemmas did not take effect",
               file=sys.stderr)
+        return 1
+    if totals["model_fallbacks"] > 0:
+        print(f"error: {totals['model_fallbacks']} sat model(s) needed the "
+              "value-search fallback", file=sys.stderr)
         return 1
     if totals["lemmas_checked"] == 0:
         print("error: no theory lemma was checked — the sweep exercised "
@@ -134,8 +146,8 @@ def main(argv: list[str] | None = None) -> int:
                   "trusted-lemma wall (bar: 2x)", file=sys.stderr)
             return 1
 
-    print("OK: every answer carried an accepted certificate and every "
-          "theory lemma was checked")
+    print("OK: every answer carried an accepted certificate, every "
+          "theory lemma was checked and no model needed the fallback")
     return 0
 
 
