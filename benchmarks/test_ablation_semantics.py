@@ -7,7 +7,10 @@
    pattern and on the core examples: the through-failures semantics
    reproduces the paper's Conc behaviour; the strict semantics silently
    loses those SIBs (Figure 1 is unaffected — its dead code does not sit
-   behind a failing assertion).
+   behind a failing assertion).  The same reading costs one false
+   positive: on the suites' ``double_unlock`` pattern it also reports
+   the first ``lock()``, which the labels call safe; the strict
+   semantics reports the second ``unlock()`` alone.
 
 2. **Normalize + semantic simplification.**  §4.3's Boolean
    simplification plus our solver-backed cleanup shrink the displayed
@@ -18,12 +21,14 @@
    counts the newly revealed warnings on a caller/callee workload.
 """
 
+import random
 import sys
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 from _util import emit
 
 from repro import compile_c
+from repro.bench.suites import pat_double_unlock
 from repro.core import CONC, analyze_program_interprocedural
 from repro.core.acspec import find_almost_correct_specs
 from repro.core.clauses import normalize
@@ -42,6 +47,8 @@ void f(struct node *x) {
   else { y = 0; }
 }
 """
+
+DOUBLE_UNLOCK = pat_double_unlock(random.Random(0), "g").code
 
 FIG1 = """
 void Foo(int *c, char *buf, int cmd) {
@@ -68,7 +75,8 @@ def test_ablation_dead_semantics(benchmark):
     def run():
         rows = []
         for label, src, name in (("defensive-macro", DEFENSIVE, "f"),
-                                 ("figure-1", FIG1, "Foo")):
+                                 ("figure-1", FIG1, "Foo"),
+                                 ("double-unlock", DOUBLE_UNLOCK, "g")):
             w_through, sib_through = _run(src, name, True)
             w_strict, sib_strict = _run(src, name, False)
             rows.append((label, sib_through, w_through, sib_strict,
@@ -88,6 +96,10 @@ def test_ablation_dead_semantics(benchmark):
     assert by["defensive-macro"][3] is False
     # Figure 1 behaves identically under both
     assert by["figure-1"][2] == by["figure-1"][4] == ["free$5"]
+    # the price of through-failures: lock$1, labelled safe, is reported
+    # because the mode branch is reachable only through its failure
+    assert by["double-unlock"][2] == ["lock$1", "unlock$2"]
+    assert by["double-unlock"][4] == ["unlock$2"]
 
 
 def test_ablation_spec_simplification(benchmark):

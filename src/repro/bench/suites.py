@@ -345,7 +345,15 @@ void {name}(int *dev, int mode) {{
 
 def pat_double_unlock(rng: random.Random, name: str) -> GeneratedFunction:
     """A missing return lets an unlock path fall through to a second
-    unlock — the Figure 1 shape in the lock typestate (buggy)."""
+    unlock — the Figure 1 shape in the lock typestate (buggy).
+
+    Every configuration also reports ``lock$1``, labelled safe: a false
+    positive of the through-failures Dead() semantics (DESIGN.md).  One
+    minimal spec makes ``lock$1`` fail, and the ``mode == k`` branch is
+    reachable only through that failure.  Strict failure-terminates
+    semantics report ``unlock$2`` alone, but lose §5.1.3's
+    defensive-macro result (``benchmarks/test_ablation_semantics.py``,
+    ``tests/integration/test_pattern_matrix.py``)."""
     code = f"""
 void {name}(int *dev, int mode) {{
   lock(dev);

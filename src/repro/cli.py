@@ -267,10 +267,11 @@ def build_ci_parser() -> argparse.ArgumentParser:
                          "(default 1: serial, in plan order)")
     ap.add_argument("--cache-dir", metavar="DIR",
                     default=os.environ.get("REPRO_CACHE_DIR"),
-                    help="persistent analysis and parse cache "
-                         "(default: $REPRO_CACHE_DIR); unchanged files are "
-                         "not re-parsed, and renamed/moved procedures "
-                         "re-serve with zero solver work")
+                    help="persistent analysis, parse and declaration "
+                         "cache (default: $REPRO_CACHE_DIR); a warm run "
+                         "loads only the files changed since the manifest, "
+                         "and renamed/moved procedures re-serve with zero "
+                         "solver work")
     ap.add_argument("--no-cache", action="store_true",
                     help="disable the persistent cache even if "
                          "--cache-dir / $REPRO_CACHE_DIR is set")

@@ -37,7 +37,11 @@ skips the vocabulary-independent baseline queries.
 A third kind, ``parse``, lives in a second instance rooted at
 ``<cache-dir>/parse``: one source file's frontend output, keyed by the
 file's bytes (see :meth:`AnalysisCache.parse_key` and
-`repro.frontend.ingest`).
+`repro.frontend.ingest`).  A fourth, ``decls``, lives in a third
+instance rooted at ``<cache-dir>/decls`` under the same key: what the
+rest of a repository needs from that file (its globals, functions and
+body-less procedure stubs, plus each procedure's callees), so a warm CI
+run can stand in for an unchanged file without decoding its bodies.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import tempfile
 from pathlib import Path
 
 from ..lang.ast import Procedure, Program
-from ..lang.codec import LAYOUT_DIGEST, decode_program, encode
+from ..lang.codec import LAYOUT_DIGEST, decode, decode_program, encode
 from ..vc.encode import procedure_fingerprint
 from .config import AbstractionConfig
 from .cover import cover_to_json
@@ -188,6 +192,11 @@ class AnalysisCache:
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
+
+    def has_record(self, key: str) -> bool:
+        """Whether a record file exists under ``key`` (not whether it
+        is usable; no counting)."""
+        return self._path(key).is_file()
 
     def _read(self, key: str, kind: str) -> dict | None:
         """Load and structurally validate a record; any failure beyond
@@ -400,6 +409,49 @@ class AnalysisCache:
             return  # not representable: stays uncached, like a failed write
         self._write(key, {"schema": SCHEMA_VERSION, "kind": "parse",
                           "program": body})
+
+
+    # ------------------------------------------------------------------
+    # declaration records
+    # ------------------------------------------------------------------
+
+    def load_decls(self, key: str) -> tuple[Program, dict] | None:
+        """The declaration record under ``key`` (see
+        :func:`repro.frontend.ingest.declarations`): a ``Program`` whose
+        procedures are all body-less stubs, and ``procedure -> sorted
+        callees`` for those that have a body.  ``None`` when absent or
+        malformed (the latter counted as an invalidation)."""
+        rec = self._read(key, "decls")
+        if rec is None:
+            return None
+        try:
+            program = decode_program(rec["program"])
+            callees = decode(rec["callees"])
+            if not all(type(part) is dict for part in (
+                    program.globals, program.functions, program.procedures,
+                    callees)):
+                raise ValueError("declaration tables are not dicts")
+            if any(type(proc) is not Procedure or proc.body is not None
+                   for proc in program.procedures.values()):
+                raise ValueError("a declaration is not a body-less stub")
+            if any(name not in program.procedures or type(names) is not tuple
+                   or not all(type(n) is str for n in names)
+                   for name, names in callees.items()):
+                raise ValueError("malformed callee lists")
+        except (KeyError, TypeError, ValueError, RecursionError):
+            self.invalidations += 1
+            return None
+        self.hits += 1
+        return program, callees
+
+    def store_decls(self, key: str, stubs: Program, callees: dict) -> None:
+        """Persist one file's declarations under ``key``."""
+        try:
+            rec = {"schema": SCHEMA_VERSION, "kind": "decls",
+                   "program": encode(stubs), "callees": encode(callees)}
+        except TypeError:
+            return
+        self._write(key, rec)
 
 
 def merge_cache_stats(stats_list) -> dict:

@@ -7,7 +7,12 @@ affect, not for the whole repo.  This module is that driver:
    source under a directory into one typechecked program with
    per-procedure file provenance.  With a cache directory, a file whose
    bytes a previous run already parsed is decoded from its parse record
-   instead (``stats["files_parsed"]`` counts the files that were not).
+   instead (``stats["files_parsed"]`` counts the files that were not,
+   ``stats["files_decoded"]`` the records decoded).  Given the previous
+   manifest as well, ingest loads only the files whose digest changed
+   and stands in for the others with the body-less stubs of their
+   declaration records; the plan then carries those files'
+   fingerprints over from the manifest.
 
 2. **Fingerprint.**  Every procedure with a body gets a *surface
    fingerprint* (:func:`repro.vc.encode.procedure_fingerprint` on the
@@ -138,9 +143,10 @@ def save_manifest(path: str | os.PathLike, manifest: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-manifest-",
                                suffix=".json")
+    # one write of json.dumps: the same bytes as json.dump, which makes
+    # many small writes
     with os.fdopen(fd, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)
 
 
@@ -170,8 +176,9 @@ class IncrementPlan:
     surface_fps: dict = field(default_factory=dict)
     spec_fps: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
-    #: fingerprint computations an explicit ``--changed-files`` diff let
-    #: the planner skip (carried over from the previous manifest)
+    #: fingerprint computations the planner skipped, carrying them over
+    #: from the previous manifest for files the ingest did not load or
+    #: an explicit ``--changed-files`` diff left out
     fingerprints_skipped: int = 0
 
     @property
@@ -199,14 +206,17 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
     """Classify every procedure of ``repo`` against ``previous`` (a
     manifest dict or ``None``) and schedule the dirty set.
 
-    ``changed_files`` is an optional explicit VCS diff: repo-relative
-    paths the caller *knows* are the only ones touched.  Procedures
-    defined in any other file reuse the previous manifest's surface and
-    spec fingerprints without recomputing them (a pure planning-time
-    saving — the dirty-set classification itself is unchanged, because
-    an untouched file's fingerprints cannot have moved)."""
+    Procedures defined in a file the ingest did not load (``repo`` came
+    from the fast path against ``previous``) reuse the previous
+    manifest's surface and spec fingerprints.  Without the fast path,
+    ``changed_files``, an optional explicit VCS diff of repo-relative
+    paths the caller *knows* are the only ones touched, lets every
+    other file's procedures do the same.  Either is a pure
+    planning-time saving: the dirty-set classification is unchanged,
+    because an untouched file's fingerprints cannot have moved."""
     program = repo.program
-    bodied = [n for n, p in program.procedures.items() if p.body is not None]
+    bodied = [n for n in program.procedures if repo.has_body(n)]
+    has_body = set(bodied)
     cfg = config_fingerprint(config, prune_k=prune_k,
                              unroll_depth=unroll_depth, max_preds=max_preds,
                              bug_classes=bug_classes)
@@ -221,32 +231,39 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
         prev_procs = {}
     prev_spec = previous.get("spec_fps", {}) if plan.reason == "diff" else {}
 
-    # An explicit diff only helps against a same-config manifest: a
-    # cold/config run has nothing trustworthy to carry fingerprints
-    # from.
-    touched = set(changed_files) if (changed_files is not None
-                                     and plan.reason == "diff") else None
+    # Carrying fingerprints over only works against a same-config
+    # manifest: a cold/config run has nothing trustworthy to carry
+    # them from.
+    touched = None
+    if plan.reason == "diff":
+        touched = repo.loaded if repo.loaded is not None else (
+            None if changed_files is None else set(changed_files))
     for name, proc in program.procedures.items():
         untouched = (touched is not None
                      and repo.proc_files.get(name) not in touched)
         if untouched and name in prev_spec \
-                and (proc.body is None
+                and (name not in has_body
                      or prev_procs.get(name, {}).get("surface_fp")):
-            if proc.body is not None:
+            if name in has_body:
                 plan.surface_fps[name] = prev_procs[name]["surface_fp"]
             plan.spec_fps[name] = prev_spec[name]
             plan.fingerprints_skipped += 1
             continue
+        if name in repo.stub_callees:
+            raise ValueError(f"no fingerprint of stubbed procedure "
+                             f"{name!r}: plan against the manifest the "
+                             f"ingest read")
         if proc.body is not None:
             plan.surface_fps[name] = procedure_fingerprint(program, proc)
         plan.spec_fps[name] = spec_fingerprint(proc)
 
-    plan.removed = sorted(set(prev_procs) - set(bodied))
+    plan.removed = sorted(set(prev_procs) - has_body)
     removed_by_fp = {prev_procs[n].get("surface_fp"): n
                      for n in plan.removed}
     spec_changed = {n for n, fp in plan.spec_fps.items()
                     if prev_spec.get(n) != fp}
-    dependents = spec_dependents(program, spec_changed)
+    dependents = spec_dependents(repo.call_graph(), spec_changed) \
+        if spec_changed else set()
 
     hist_wall: dict = {}
     for name in bodied:
@@ -359,8 +376,8 @@ class CiResult:
     delta: dict
     #: fresh ProcedureReports for the dirty set, in plan order
     reports: dict = field(default_factory=dict)
-    #: wall_seconds / files_parsed / analyzed / clean / queries / cache
-    #: counters
+    #: wall_seconds / files_parsed / files_decoded / analyzed / clean /
+    #: queries / cache counters
     stats: dict = field(default_factory=dict)
 
     @property
@@ -410,8 +427,9 @@ def run_ci(root: str | os.PathLike,
     clean procedures' manifest entries over verbatim, writes the new
     manifest back to ``manifest_path`` (when given), and returns the
     :class:`CiResult` with the warning delta.  ``cache_dir`` holds
-    both the analysis records and, under ``parse/``, the parse records
-    that let ingest skip every file whose bytes are unchanged.
+    the analysis records and, under ``parse/`` and ``decls/``, the
+    parse and declaration records that let ingest load only the files
+    whose bytes changed since the previous manifest.
 
     Raises :class:`repro.frontend.ingest.IngestError` when the sources
     do not form one coherent program, and re-raises a
@@ -419,12 +437,20 @@ def run_ci(root: str | os.PathLike,
     analysis failures are folded into the reports instead.
     """
     start = time.monotonic()
-    parse_cache = AnalysisCache(Path(cache_dir) / "parse") \
-        if cache_dir else None
-    repo = ingest_directory(root, unroll_depth=unroll_depth,
-                            bug_classes=bug_classes, cache=parse_cache)
     if previous is None and manifest_path is not None:
         previous = load_manifest(manifest_path)
+    parse_cache = decl_cache = None
+    if cache_dir:
+        parse_cache = AnalysisCache(Path(cache_dir) / "parse")
+        decl_cache = AnalysisCache(Path(cache_dir) / "decls")
+    same_config = previous is not None and previous.get("config") == \
+        config_fingerprint(config, prune_k=prune_k,
+                           unroll_depth=unroll_depth, max_preds=max_preds,
+                           bug_classes=bug_classes)
+    repo = ingest_directory(root, unroll_depth=unroll_depth,
+                            bug_classes=bug_classes, cache=parse_cache,
+                            decls=decl_cache,
+                            previous=previous if same_config else None)
     if changed_files is not None:
         changed_files = _normalize_changed(Path(root), changed_files)
     plan = plan_increment(repo, previous, config=config, prune_k=prune_k,
@@ -488,6 +514,7 @@ def run_ci(root: str | os.PathLike,
     stats = {"wall_seconds": round(time.monotonic() - start, 3),
              "files": len(repo.file_digests),
              "files_parsed": repo.files_parsed,
+             "files_decoded": repo.files_decoded,
              "procedures": len(procedures),
              "analyzed": len(plan.order),
              "clean": len(plan.clean),

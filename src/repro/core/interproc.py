@@ -29,9 +29,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from ..lang.ast import (BoolLit, CallStmt, Formula, Procedure, Program,
-                        Stmt, formula_vars, mk_and, mk_or, stmt_children,
-                        TRUE)
+from ..lang.ast import (BoolLit, Formula, Procedure, Program,
+                        formula_vars, mk_and, mk_or, stmt_callees, TRUE)
 from ..lang.transform import is_lambda_const
 from .analysis import ProgramReport, analyze_program
 from .config import AbstractionConfig, CONC
@@ -52,19 +51,6 @@ from .deadfail import Budget
 # (`repro.core.incremental`) uses these edges to invalidate callers
 # when a callee's spec changes while leaving body-only callee edits to
 # dirty just the callee itself.
-
-
-def stmt_callees(s: Stmt | None) -> set[str]:
-    """Names of every procedure called (transitively through the
-    statement tree) by ``s``."""
-    out: set[str] = set()
-    if s is None:
-        return out
-    if isinstance(s, CallStmt):
-        out.add(s.callee)
-    for child in stmt_children(s):
-        out |= stmt_callees(child)
-    return out
 
 
 def call_graph(program: Program) -> dict[str, tuple[str, ...]]:
@@ -103,20 +89,19 @@ def spec_fingerprint(proc: Procedure) -> str:
     return h.hexdigest()
 
 
-def spec_dependents(program: Program, spec_changed: set[str]) -> set[str]:
+def spec_dependents(graph: dict, spec_changed: set[str]) -> set[str]:
     """Procedures whose analysis a spec change in ``spec_changed``
-    invalidates: the direct callers of each changed procedure.
+    invalidates: the direct callers of each changed procedure, read
+    off ``graph`` (``caller -> direct callees``, as :func:`call_graph`
+    or :meth:`repro.frontend.ingest.IngestedRepo.call_graph` give it).
 
     One level only, by construction: elaboration rewrites a call into
     assert-pre / bind / assume-post using the callee's spec, so a
     callee's *spec* reaches exactly its direct callers — the callers'
     own specs are untouched, and their callers see nothing.
     """
-    rev = callers_of(program)
-    out: set[str] = set()
-    for name in spec_changed:
-        out.update(rev.get(name, ()))
-    return out
+    return {caller for caller, callees in graph.items()
+            if not spec_changed.isdisjoint(callees)}
 
 
 @dataclass

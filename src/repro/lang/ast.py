@@ -369,6 +369,14 @@ def walk_stmts(s: Stmt):
         yield from walk_stmts(c)
 
 
+def stmt_callees(s: Stmt | None) -> set[str]:
+    """Names of every procedure called (transitively through the
+    statement tree) by ``s``."""
+    if s is None:
+        return set()
+    return {x.callee for x in walk_stmts(s) if isinstance(x, CallStmt)}
+
+
 def asserts_in(s: Stmt) -> list[AssertStmt]:
     """Assertions in *program order* (then-branch before else-branch)."""
     return [x for x in walk_stmts(s) if isinstance(x, AssertStmt)]

@@ -107,6 +107,19 @@ class CallElaborator:
         return seq(*out)
 
 
+def spec_stub(proc: Procedure) -> Procedure:
+    """``proc`` as a body-less declaration: the slice a
+    :class:`CallElaborator` inlines into callers and a caller's
+    typecheck reads (params, returns and their types, ``requires``,
+    ``ensures``, ``modifies``), which is also exactly what
+    :func:`repro.core.interproc.spec_fingerprint` hashes.  Idempotent,
+    and a caller prepares identically against the stub."""
+    iface = set(proc.params) | set(proc.returns)
+    return replace(proc, var_types={v: t for v, t in proc.var_types.items()
+                                    if v in iface},
+                   locals=(), body=None)
+
+
 def elaborate_calls(program: Program, proc: Procedure,
                     havoc_returns: bool = False) -> Procedure:
     """Elaborate all calls in ``proc``; lam$ constants become extra

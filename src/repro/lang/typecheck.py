@@ -198,7 +198,14 @@ class TypeChecker:
             raise TypeError_(f"{where}: expected int expression, got map")
 
 
-def typecheck(program: Program) -> Program:
-    """Check the whole program; returns it unchanged for chaining."""
-    TypeChecker(program).check_program()
+def typecheck(program: Program, procedures=None) -> Program:
+    """Check the whole program, or only the ``procedures`` named
+    (against all of the program's declarations); returns it unchanged
+    for chaining."""
+    checker = TypeChecker(program)
+    if procedures is None:
+        checker.check_program()
+    else:
+        for name in procedures:
+            checker.check_procedure(program.procedures[name])
     return program

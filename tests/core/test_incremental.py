@@ -91,10 +91,10 @@ class TestCallGraph:
         assert callers_of(program)["Release"] == ("Main",)
 
     def test_spec_dependents_is_one_level(self, tmp_path):
-        program = ingest_directory(make_repo(tmp_path)).program
-        assert spec_dependents(program, {"Release"}) == {"Main"}
+        graph = call_graph(ingest_directory(make_repo(tmp_path)).program)
+        assert spec_dependents(graph, {"Release"}) == {"Main"}
         # Main has no callers, so its spec reaches nobody.
-        assert spec_dependents(program, {"Main"}) == set()
+        assert spec_dependents(graph, {"Main"}) == set()
 
     def test_spec_fingerprint_ignores_body_and_name(self):
         src = ("procedure P(x: int) returns (r: int)\n"
@@ -274,6 +274,126 @@ class TestRenameCacheHit:
         assert "Buggy:A5" in rerun.delta["high"]["fixed"]
 
 
+def _without_walls(manifest: dict) -> dict:
+    return {**manifest, "procedures": {
+        name: {k: v for k, v in entry.items() if k != "wall"}
+        for name, entry in manifest["procedures"].items()}}
+
+
+class TestFastPath:
+    """A warm run with a cache and a same-config manifest loads only
+    the files whose digest changed, standing in for the rest with the
+    stubs of their declaration records; edits another file can see
+    fall back to the full ingest, which decodes every other file."""
+
+    CLAMP = ("procedure Clamp(x: int, lo: int, hi: int) returns (r: int)\n"
+             "  ensures r >= lo;\n{\n  r := x;\n  if (r < lo) { r := lo; }\n"
+             "  if (r > hi) { r := hi; }\n  U1: assert r >= lo;\n}\n")
+
+    def warm(self, tmp_path):
+        repo = make_repo(tmp_path)
+        cache_dir = str(tmp_path / "cache")
+        run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
+        return repo, cache_dir
+
+    @pytest.mark.parametrize("kind", ["body", "rename", "copy", "noop"])
+    def test_common_edits_decode_nothing(self, tmp_path, kind):
+        repo, cache_dir = self.warm(tmp_path)
+        shutil.copyfile(tmp_path / "m.json", tmp_path / "m-full.json")
+        assert self.CLAMP in (repo / "util.bpl").read_text()
+        if kind == "body":
+            edit(repo, "alloc.bpl", "  Freed[p] := 1;\n",
+                 "  Freed[p] := 1;\n  R2: assert Freed[p] == 0;\n")
+        elif kind == "rename":
+            edit(repo, "util.bpl", "procedure Clamp(", "procedure Clip(")
+        elif kind == "copy":
+            edit(repo, "util.bpl", self.CLAMP, self.CLAMP + "\n"
+                 + self.CLAMP.replace("Clamp", "Clip"))
+        else:
+            (repo / "main.bpl").write_bytes((repo / "main.bpl").read_bytes())
+        rerun = run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
+        assert rerun.stats["files_decoded"] == 0
+        assert rerun.stats["files_parsed"] == (kind != "noop")
+        # only the edited file's procedures were fingerprinted
+        assert rerun.stats["fingerprints_skipped"] == {
+            "body": 3, "rename": 3, "copy": 3, "noop": 4}[kind]
+        expected = {"body": {"Release": "changed"},
+                    "rename": {"Clip": "renamed"},
+                    "copy": {"Clip": "new"}, "noop": {}}[kind]
+        assert {n: c for n, c in rerun.plan.classes.items()
+                if c != "clean"} == expected
+        assert rerun.plan.classes.get("Main", "clean") == "clean"
+        # analyzed against stubs, the same reports as against the full
+        # program, with no cache at all
+        full = run_ci(repo, tmp_path / "m-full.json")
+        assert render_delta(rerun.delta) == render_delta(full.delta)
+        assert _without_walls(rerun.manifest) == _without_walls(full.manifest)
+
+    #: name -> (file, declaration before the cold run, edit after it);
+    #: an edit of None removes everything from the file's first
+    #: procedure on, or defines Clamp a second time
+    EDITS = {
+        "retype a global": ("alloc.bpl", "var Spm: int;",
+                            "var Spm: [int]int;"),
+        "change a function's arity": ("util.bpl", "function spm(int): int;",
+                                      "function spm(int, int): int;"),
+        "change a cross-file callee's requires": (
+            "alloc.bpl", "  requires Freed[p] == 0;",
+            "  requires Freed[p] == 0 && p != 0;"),
+        "remove a procedure another file calls": ("alloc.bpl", "", None),
+        "define a name twice": ("util.bpl", "", None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDITS))
+    def test_declaration_edits_fall_back(self, tmp_path, name):
+        filename, before, after = self.EDITS[name]
+        repo = make_repo(tmp_path)
+        path = repo / filename
+        if before not in path.read_text():
+            path.write_text(f"{before}\n{path.read_text()}")
+        cache_dir = str(tmp_path / "cache")
+        run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
+        shutil.copyfile(tmp_path / "m.json", tmp_path / "m-full.json")
+        text = path.read_text()
+        if after is not None:
+            path.write_text(text.replace(before, after))
+        elif filename == "alloc.bpl":
+            path.write_text(text[:text.index("procedure")])
+        else:
+            (repo / "twice.bpl").write_text(self.CLAMP)
+        try:
+            full = run_ci(repo, tmp_path / "m-full.json")
+        except IngestError as exc:
+            with pytest.raises(IngestError) as warm_exc:
+                run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
+            assert str(warm_exc.value) == str(exc)
+            return
+        warm = run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
+        # the full ingest: every unedited file decoded from its record
+        assert warm.stats["files_decoded"] == 3
+        assert warm.plan.classes == full.plan.classes
+        assert warm.plan.order == full.plan.order
+        assert render_delta(warm.delta) == render_delta(full.delta)
+        assert _without_walls(warm.manifest) == _without_walls(full.manifest)
+
+    def test_spec_edit_called_only_in_its_own_file_stays_fast(
+            self, tmp_path):
+        repo, cache_dir = self.warm(tmp_path)
+        edit(repo, "alloc.bpl", "{\n  R1:",
+             "{\n  call Note(p);\n  R1:")
+        (repo / "alloc.bpl").write_text(
+            (repo / "alloc.bpl").read_text()
+            + "\nprocedure Note(q: int)\n{\n  N1: assert q == q;\n}\n")
+        run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
+        edit(repo, "alloc.bpl", "procedure Note(q: int)\n",
+             "procedure Note(q: int)\n  requires q >= 0;\n")
+        rerun = run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
+        assert rerun.stats["files_decoded"] == 0
+        assert rerun.plan.classes["Note"] == "changed"
+        assert rerun.plan.classes["Release"] == "dependent"
+        assert rerun.plan.classes["Main"] == "clean"
+
+
 class TestWallPlumbing:
     """Satellite: per-procedure wall timings ride the manifest and the
     cache record, feeding the historically-slow-first heuristic."""
@@ -317,6 +437,17 @@ class TestManifestIO:
         assert loaded == result.manifest
         save_manifest(path, loaded)
         assert path.read_bytes() == first
+
+    def test_single_write_matches_the_streaming_writer(self, tmp_path):
+        """``save_manifest`` writes ``json.dumps`` in one call; its bytes
+        are those of the ``json.dump`` file-handle writer it replaced,
+        kept here as the reference."""
+        manifest = run_ci(make_repo(tmp_path), tmp_path / "m.json").manifest
+        reference = tmp_path / "reference.json"
+        with open(reference, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert (tmp_path / "m.json").read_bytes() == reference.read_bytes()
 
     def test_wrong_schema_or_garbage_reads_as_cold(self, tmp_path):
         path = tmp_path / "m.json"

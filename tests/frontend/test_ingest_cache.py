@@ -2,7 +2,10 @@
 `repro ci`: each source is read once, a warm ingest parses only files
 whose bytes it has not seen, ``.c`` records key on the lowering inputs,
 corrupt records degrade to re-parses, and a warm ingest equals a cold
-one under semantics-preserving edits, deletes and moves.
+one under semantics-preserving edits, deletes and moves.  With
+declaration records and the previous manifest, a warm ``run_ci`` loads
+only the changed files, and it equals a run without those records under
+the same edits and under declaration edits that force the full ingest.
 
 Runs on the committed fixture repository (``tests/fixtures/ci_repo``),
 like ``tests/core/test_incremental.py``."""
@@ -24,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import run as cli_run
 from repro.core.cache import AnalysisCache
-from repro.core.incremental import render_delta, run_ci
+from repro.core.incremental import load_manifest, render_delta, run_ci
 from repro.frontend.ingest import IngestError, discover_sources, \
     ingest_directory
 from repro.lang import parse_program
@@ -183,17 +186,69 @@ def test_run_ci_reports_files_parsed_and_cli_no_cache_skips_records(
     assert not (off / "parse").exists()
 
 
+def test_corrupt_declaration_record_falls_back(tmp_path):
+    repo = make_repo(tmp_path)
+    cache = tmp_path / "cache"
+    run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
+    previous = load_manifest(tmp_path / "m.json")
+    record = sorted((cache / "decls").glob("*.json"))[0]
+    good = record.read_text()
+    record.write_text(_truncate(good))
+
+    def ingest(decls):
+        return ingest_directory(repo, cache=AnalysisCache(cache / "parse"),
+                                decls=decls, previous=previous)
+
+    decls = AnalysisCache(cache / "decls")
+    full = ingest(decls)
+    assert full.loaded is None  # the full ingest
+    assert (full.files_parsed, full.files_decoded) == (0, 4)
+    assert decls.invalidations == 1
+    assert_same_ingest(full, ingest_directory(repo))
+    assert record.read_text() == good  # overwritten
+    again = AnalysisCache(cache / "decls")
+    fast = ingest(again)
+    assert fast.loaded == frozenset()
+    assert (fast.files_parsed, fast.files_decoded) == (0, 0)
+    assert again.invalidations == 0 and again.hits == 4
+
+
 # ----------------------------------------------------------------------
 # property: a warm ingest equals a cold one
 # ----------------------------------------------------------------------
 #
 # The edits are the semantics-preserving mutations of fault-localization
 # robustness studies (comment insertion, variable rename, dead code),
-# plus file deletes and moves.  Each op is (kind, k); k picks the file,
-# the line or the variable, so an op sequence is deterministic on the
-# current tree.
+# plus file deletes and moves, plus declaration edits another file can
+# see, which the warm CI run must meet with the full ingest: a global
+# added or retyped, a function added or given another arity, a
+# cross-file callee's ``requires`` changed, a procedure another file
+# calls removed, and a procedure defined twice.  Each op is (kind, k);
+# k picks the file, the line or the variable, so an op sequence is
+# deterministic on the current tree.
 
-OPS = ("comment", "rename", "dead", "delete", "move")
+OPS = ("comment", "rename", "dead", "delete", "move",
+       "global", "arity", "requires", "uncall", "twice")
+
+#: ``op -> (declaration, its other form)``: the toggles of the global
+#: and the function ops (added when the file declares neither form).
+_TOGGLES = {"global": ("var Spm: int;", "var Spm: [int]int;"),
+            "arity": ("function spm(int): int;",
+                      "function spm(int, int): int;")}
+
+
+def _remove_called(files: list) -> None:
+    """Remove the first procedure (rotating files) that another file
+    calls."""
+    texts = {p: p.read_text() for p in files}
+    for path in files:
+        for name in re.findall(r"procedure (\w+)\(", texts[path]):
+            if any(re.search(rf"call [^;]*\b{name}\(", text)
+                   for other, text in texts.items() if other != path):
+                path.write_text(re.sub(rf"procedure {name}\(.*?\n}}\n?",
+                                       "", texts[path], count=1,
+                                       flags=re.S))
+                return
 
 
 def _apply(repo: Path, op: str, k: int) -> None:
@@ -202,18 +257,42 @@ def _apply(repo: Path, op: str, k: int) -> None:
         return
     path = files[k % len(files)]
     text = path.read_text()
-    if op == "comment":
+    if op in _TOGGLES:
+        one, other = _TOGGLES[op]
+        if one in text:
+            path.write_text(text.replace(one, other))
+        elif other in text:
+            path.write_text(text.replace(other, one))
+        else:
+            path.write_text(f"{one}\n{text}")
+    elif op == "requires":
+        specced = [p for p in files if "requires" in p.read_text()]
+        if specced:
+            path = specced[k % len(specced)]
+            path.write_text(re.sub(r"requires (.*?);",
+                                   rf"requires \1 && {k} == {k};",
+                                   path.read_text(), count=1))
+    elif op == "uncall":
+        _remove_called(files[k % len(files):] + files[:k % len(files)])
+    elif op == "twice":
+        match = re.search(r"procedure \w+\(.*?\n}", text, flags=re.S)
+        if match:
+            (repo / f"twice{k}.bpl").write_text(match.group(0) + "\n")
+    elif op == "comment":
         lines = text.split("\n")
         lines.insert(k % (len(lines) + 1), f"// spm comment {k}")
         path.write_text("\n".join(lines))
     elif op == "rename":
-        names = sorted({v for proc in parse_program(text).procedures.values()
-                        for v in proc.var_types})
+        try:
+            names = sorted({v for proc in parse_program(text).procedures
+                            .values() for v in proc.var_types})
+        except (SyntaxError, TypeError, ValueError):
+            return
         if names:
             old = names[k % len(names)]
             path.write_text(re.sub(rf"\b{re.escape(old)}\b", f"v{k}_{old}",
                                    text))
-    elif op == "dead":
+    elif op == "dead" and "}" in text:
         end = text.rindex("}")
         path.write_text(text[:end] + "  if (false) { assume true; }\n"
                         + text[end:])
@@ -260,8 +339,8 @@ def test_warm_ingest_equals_cold_under_edits(warm_fixture, ops):
             try:
                 cold = ingest_directory(repo)
             except IngestError as exc:
-                # deletes fail at merge or typecheck, after every file
-                # was parsed (and stored)
+                # deletes and declaration edits fail at merge or
+                # typecheck, after every file was parsed (and stored)
                 with pytest.raises(IngestError) as warm_exc:
                     ingest_directory(repo, cache=parse_cache)
                 assert str(warm_exc.value) == str(exc)
@@ -272,17 +351,30 @@ def test_warm_ingest_equals_cold_under_edits(warm_fixture, ops):
             assert warm.files_parsed == len(current - seen)
             seen |= current
 
-        try:
-            ingest_directory(repo)
-        except IngestError:
+        # The same manifest, delta and plan, or the same IngestError,
+        # with the parse and declaration records as without them: run a
+        # may take the fast path against the fixture's manifest; run b
+        # starts from the same manifest with only the analysis records
+        # run a left, so it parses every file and replays a's analyses.
+        a = _ci_or_error(repo, tmp / "a.json", cache)
+        b_cache = tmp / "b-cache"
+        shutil.copytree(cache, b_cache,
+                        ignore=shutil.ignore_patterns("parse", "decls"))
+        b = _ci_or_error(repo, tmp / "b.json", b_cache)
+        if isinstance(b, IngestError):
+            assert isinstance(a, IngestError) and str(a) == str(b)
             return
-        # Same manifest and delta with the parse records as without:
-        # run b re-parses every file, and its analyses hit the records
-        # run a stored, so only the parse cache differs between them.
-        a = run_ci(repo, tmp / "a.json", cache_dir=str(cache))
-        shutil.rmtree(cache / "parse")
-        b = run_ci(repo, tmp / "b.json", cache_dir=str(cache))
+        assert not isinstance(a, IngestError), str(a)
         assert a.stats["files_parsed"] == 0
         assert b.stats["files_parsed"] == b.stats["files"]
         assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
         assert render_delta(a.delta) == render_delta(b.delta)
+        assert a.plan.classes == b.plan.classes
+        assert a.plan.order == b.plan.order
+
+
+def _ci_or_error(repo: Path, manifest: Path, cache: Path):
+    try:
+        return run_ci(repo, manifest, cache_dir=str(cache))
+    except IngestError as exc:
+        return exc

@@ -12,6 +12,12 @@ import pytest
 from repro.bench.runner import compile_suite
 from repro.bench.suites import build_suite
 from repro.core import A1, A2, CONC, find_abstract_sibs
+from repro.core.acspec import find_almost_correct_specs
+from repro.core.cover import predicate_cover
+from repro.core.deadfail import DeadFailOracle
+from repro.core.predicates import mine_predicates
+from repro.lang.transform import prepare_procedure
+from repro.vc.encode import EncodedProcedure
 
 # pattern -> (Cons warning count, Conc warnings, A1 warnings, A2 warnings)
 MATRIX = {
@@ -30,6 +36,8 @@ MATRIX = {
     "unchecked_alloc_simple": (1, [], [], ["deref$1"]),
     "field_after_call":       (1, [], [], ["deref$3"]),
     "lock_protocol":          (1, [], [], []),
+    # lock$1 is labelled safe: a false positive of the through-failures
+    # Dead() semantics (test_double_unlock_fp_is_the_dead_semantics)
     "double_unlock":          (2, ["lock$1", "unlock$2"],
                                ["lock$1", "unlock$2"],
                                ["lock$1", "unlock$2"]),
@@ -76,3 +84,24 @@ def test_warning_monotonicity_across_knobs(analyses, pattern):
     a1 = set(analyses[pattern]["A1"].warnings)
     a2 = set(analyses[pattern]["A2"].warnings)
     assert conc <= a1 <= a2
+
+
+@pytest.mark.parametrize("through_failures,expected",
+                         [(True, ["lock$1", "unlock$2"]),
+                          (False, ["unlock$2"])])
+def test_double_unlock_fp_is_the_dead_semantics(through_failures, expected):
+    """The ``lock$1`` false positive of the double_unlock row comes from
+    letting Dead() reach through assertion failures: one minimal spec
+    makes ``lock$1`` fail, and the ``mode == k`` branch is reachable
+    only through that failure.  Strict failure-terminates semantics
+    report ``unlock$2`` alone (benchmarks/test_ablation_semantics.py
+    runs the same case)."""
+    suite = build_suite("t", "t", {"double_unlock": 1}, seed=11)
+    program = compile_suite(suite)
+    proc = program.proc(suite.functions[0].name)
+    prepared = prepare_procedure(program, proc)
+    oracle = DeadFailOracle(EncodedProcedure(program, prepared),
+                            mine_predicates(program, prepared),
+                            dead_through_failures=through_failures)
+    res = find_almost_correct_specs(oracle, predicate_cover(oracle))
+    assert oracle.labels_of(res.warnings) == expected

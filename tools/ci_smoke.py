@@ -6,12 +6,14 @@ over the committed fixture repository and asserts the contract the
 mode is sold on:
 
 1. a **cold sweep** analyzes every procedure;
-2. a **no-edit re-run** analyzes *nothing*, parses no file (every
-   source is a parse-cache hit) and renders a byte-stable warning
-   delta;
+2. a **no-edit re-run** analyzes *nothing*, parses no file and
+   decodes no parse record (every file's digest matches the manifest,
+   so its declaration record stands in for it) and renders a
+   byte-stable warning delta;
 3. a **scripted one-procedure edit** (a failing assert appended to
    ``Release`` in ``alloc.bpl``) dirties *exactly* that procedure —
-   nothing else is re-analyzed — and re-parses only ``alloc.bpl``;
+   its caller ``Main``, in ``main.bpl``, stays clean — re-parses only
+   ``alloc.bpl`` and decodes no parse record;
 4. the re-run's delta matches the committed golden byte-for-byte
    (``tests/fixtures/ci_repo_golden_delta.json``);
 5. the re-run's wall time is at most 25% of the cold sweep's;
@@ -49,6 +51,7 @@ EDIT_FILE = "alloc.bpl"
 EDIT_OLD = "  Freed[p] := 1;\n"
 EDIT_NEW = "  Freed[p] := 1;\n  R2: assert Freed[p] == 0;\n"
 EDITED_PROC = "Release"
+CALLER = "Main"
 
 _failures = 0
 
@@ -90,6 +93,9 @@ def run_api_cycle(jobs: int) -> None:
           f"analyzed {idle.plan.order}")
     check(idle.stats["files_parsed"] == 0, "no-edit re-run parses no file",
           f"files_parsed={idle.stats['files_parsed']}")
+    check(idle.stats["files_decoded"] == 0,
+          "no-edit re-run decodes no parse record",
+          f"files_decoded={idle.stats['files_decoded']}")
     idle2 = run_ci(repo, manifest, jobs=jobs, cache_dir=cache)
     check(render_delta(idle.delta) == render_delta(idle2.delta),
           "delta report is byte-stable across identical runs")
@@ -103,9 +109,15 @@ def run_api_cycle(jobs: int) -> None:
     check(rerun.plan.order == [EDITED_PROC],
           "re-run analyzes exactly the dirty set",
           f"dirty={rerun.plan.order}")
+    check(rerun.plan.classes.get(CALLER) == "clean",
+          f"{CALLER}, {EDITED_PROC}'s caller in another file, stays clean",
+          f"{CALLER} is {rerun.plan.classes.get(CALLER)}")
     check(rerun.stats["files_parsed"] == 1,
           f"re-run parses only {EDIT_FILE}",
           f"files_parsed={rerun.stats['files_parsed']}")
+    check(rerun.stats["files_decoded"] == 0,
+          "re-run decodes no parse record",
+          f"files_decoded={rerun.stats['files_decoded']}")
     golden = GOLDEN.read_text()
     check(render_delta(rerun.delta) == golden,
           "delta matches the committed golden")
