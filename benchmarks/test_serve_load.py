@@ -18,7 +18,6 @@ table reports both throughputs and the server's own request-latency
 histogram quantiles (``docs/serving.md``).
 """
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -28,7 +27,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from _util import SCALE, TIMEOUT, emit  # noqa: E402
 
 from repro.bench import render_table
-from repro.serve import FleetThread, ServeClient, ServerThread
+from repro.serve import ServeClient, ServerThread
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -123,93 +122,3 @@ def test_serve_load(benchmark, tmp_path):
     # the acceptance bar: the warm pool at least doubles throughput
     assert speedup >= 2.0, (cold, warm, speedup)
 
-
-#: Replica counts for the fleet scaling sweep (docs/fleet.md).
-FLEET_REPLICA_COUNTS = (1, 2, 4)
-
-#: Distinct programs per fleet pass; the mixed load submits each twice
-#: (a cold pass that must shard + compute, then a hot pass the replicas'
-#: hot tiers must absorb).
-N_FLEET_PROGRAMS = max(4, round(6 * SCALE))
-
-
-def _fleet_pass(client, sources) -> None:
-    """Submit every source concurrently and await every report."""
-    ids = [client.submit(src, timeout=TIMEOUT)["id"] for src in sources]
-    for req_id in ids:
-        resp = client.result(req_id)
-        assert resp["failures"] == 0, resp
-
-
-def _run_fleet(tmp_path, replicas: int, sources) -> dict:
-    """One mixed hot/cold sweep through a fleet of *replicas*; returns
-    its row of the fleet-throughput table."""
-    sock = str(tmp_path / f"fleet{replicas}.sock")
-    with FleetThread(sock, replicas=replicas, pool_size=1,
-                     queue_limit=64) as fleet:
-        with fleet.client() as client:
-            t0 = time.monotonic()
-            _fleet_pass(client, sources)   # cold: shard + compute
-            _fleet_pass(client, sources)   # hot: served from memory
-            wall = time.monotonic() - t0
-            snap = client.metrics()
-    n = 2 * len(sources)
-    latency = snap["request_latency"]
-    hot_hits = sum(s["counters"].get("hot_hits", 0)
-                   for s in (snap.get("shards") or {}).values() if s)
-    assert hot_hits >= len(sources), (hot_hits, len(sources))
-    assert snap["counters"].get("replica_failures", 0) == 0
-    return {
-        "replicas": replicas,
-        "requests": n,
-        "wall_seconds": round(wall, 3),
-        "throughput_rps": round(n / wall, 3),
-        "p50_ms": latency["p50_ms"],
-        "p95_ms": latency["p95_ms"],
-        "p99_ms": latency["p99_ms"],
-        "hot_hits": hot_hits,
-    }
-
-
-def test_fleet_throughput(benchmark, tmp_path):
-    """Sustained RPS and latency percentiles at 1/2/4 replicas under a
-    mixed hot/cold load.
-
-    The >= 2x scaling bar for 4 replicas over 1 only binds on a machine
-    with at least 4 cores — with pool_size=1 a replica is one worker,
-    and N workers cannot outrun one on a single core.  On smaller boxes
-    (the dev container is 1-CPU) the sweep still runs and publishes
-    honest numbers; the assertion is advisory there.
-    """
-    sources = [_PROGRAM.format(i=1000 + i) for i in range(N_FLEET_PROGRAMS)]
-    state = {}
-
-    def run():
-        state["suites"] = {
-            f"fleet_r{r}": _run_fleet(tmp_path, r, sources)
-            for r in FLEET_REPLICA_COUNTS}
-        return state
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    suites = state["suites"]
-
-    rows = [[f"fleet ({rec['replicas']} replica(s), pool=1)",
-             rec["requests"], f"{rec['wall_seconds']:.2f}",
-             f"{rec['throughput_rps']:.2f}", f"{rec['p50_ms']:.0f}",
-             f"{rec['p95_ms']:.0f}", f"{rec['p99_ms']:.0f}",
-             rec["hot_hits"]]
-            for rec in suites.values()]
-    table = render_table(
-        ["Topology", "Requests", "Wall (s)", "RPS",
-         "p50 (ms)", "p95 (ms)", "p99 (ms)", "hot hits"], rows)
-    scaling = (suites["fleet_r4"]["throughput_rps"]
-               / max(suites["fleet_r1"]["throughput_rps"], 1e-9))
-    cores = os.cpu_count() or 1
-    table += (f"\n\n4-replica vs 1-replica throughput: {scaling:.2f}x "
-              f"on {cores} core(s)")
-    emit("fleet_throughput", table)
-
-    # the scaling bar binds where the hardware can express it
-    if cores >= 4:
-        assert scaling >= 2.0, {k: v["throughput_rps"]
-                                for k, v in suites.items()}

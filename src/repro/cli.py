@@ -13,8 +13,7 @@ Usage::
                     [--timeout SECONDS] [--proc NAME] [--jobs N]
                     [--cache-dir DIR | --no-cache] [--self-check] FILE
     python -m repro serve  [--socket ADDR] [--pool N] [--queue-limit N] ...
-    python -m repro fleet  [--socket ADDR] [--replicas N] [--pool N] ...
-    python -m repro submit [--socket ADDR | --router ADDR] [--c] ... FILE
+    python -m repro submit [--socket ADDR] [--c] ... FILE
     python -m repro ci     DIR [--manifest PATH] [--jobs N] ...
 
 ``--c`` treats FILE as mini-C (the HAVOC path); otherwise it is parsed as
@@ -26,18 +25,14 @@ analysis cache, making re-runs on unchanged procedures near-instant;
 
 ``serve`` runs the persistent analysis daemon (`repro.serve`) on
 ``--socket`` (default: the ``REPRO_SERVE_SOCKET`` environment variable,
-mirroring the ``REPRO_CACHE_DIR`` pattern); ``fleet`` runs a whole
-sharded fleet — N replica daemons plus a consistent-hash router — on
-one client-facing address (``docs/fleet.md``); ``submit`` sends a file
-to a running daemon *or* fleet router (``--router`` is an explicit
-alias for the router's address — same wire protocol) and prints
-*exactly* what the batch invocation would print for the same flags —
-CI diffs the two.  ``ci`` is the repo-scale incremental mode
-(``docs/ci_mode.md``): it ingests every source under DIR, re-analyzes
-only what changed since the manifest's previous run (plus spec-
-dependent callers), and exits 1 exactly when the run introduced *new*
-warnings.  Every flag and every exit code is documented with examples
-in ``docs/cli.md``.
+mirroring the ``REPRO_CACHE_DIR`` pattern); ``submit`` sends a file
+to a running daemon and prints *exactly* what the batch invocation
+would print for the same flags — CI diffs the two.  ``ci`` is the
+repo-scale incremental mode (``docs/ci_mode.md``): it ingests every
+source under DIR, re-analyzes only what changed since the manifest's
+previous run (plus spec-dependent callers), and exits 1 exactly when
+the run introduced *new* warnings.  Every flag and every exit code is
+documented with examples in ``docs/cli.md``.
 """
 
 from __future__ import annotations
@@ -141,50 +136,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     ap.add_argument("--hot-bytes", type=int, default=None, metavar="BYTES",
                     help="in-memory hot-tier result cache budget in bytes "
                          "(default 64 MiB; 0 disables the hot tier)")
-    ap.add_argument("--peer", action="append", dest="peers", metavar="ADDR",
-                    default=None,
-                    help="address of a sibling replica to peek warm results "
-                         "from before computing cold keys (repeatable; set "
-                         "automatically by `repro fleet`)")
-    return ap
-
-
-def build_fleet_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="repro fleet",
-        description="run a sharded analysis fleet: N `repro serve` "
-                    "replicas plus a consistent-hash router on one "
-                    "client-facing address (see docs/fleet.md)")
-    _add_socket_flag(ap)
-    ap.add_argument("--replicas", type=int, default=2, metavar="N",
-                    help="number of replica daemons to spawn (default 2); "
-                         "their addresses are derived from --socket")
-    ap.add_argument("--pool", type=int, default=1, metavar="N",
-                    help="worker processes per replica (default 1; the "
-                         "pool divides the machine's cores between its "
-                         "workers, so size pool*replicas to the machine)")
-    ap.add_argument("--queue-limit", type=int, default=64, metavar="N",
-                    help="per-replica in-flight computation bound "
-                         "(default 64)")
-    ap.add_argument("--router-queue-limit", type=int, default=128,
-                    metavar="N",
-                    help="router in-flight request bound (default 128)")
-    ap.add_argument("--deadline", type=float, default=None,
-                    metavar="SECONDS",
-                    help="default per-request wall deadline (default: none)")
-    ap.add_argument("--cache-dir", metavar="DIR",
-                    default=os.environ.get("REPRO_CACHE_DIR"),
-                    help="persistent analysis cache shared by all replicas "
-                         "(default: $REPRO_CACHE_DIR)")
-    ap.add_argument("--no-cache", action="store_true",
-                    help="disable the persistent cache even if "
-                         "--cache-dir / $REPRO_CACHE_DIR is set")
-    ap.add_argument("--hot-bytes", type=int, default=None, metavar="BYTES",
-                    help="per-replica hot-tier budget in bytes "
-                         "(default 64 MiB; 0 disables the hot tier)")
-    ap.add_argument("--vnodes", type=int, default=None, metavar="N",
-                    help="virtual nodes per replica on the hash ring "
-                         "(default 64)")
     return ap
 
 
@@ -197,9 +148,6 @@ def build_submit_parser() -> argparse.ArgumentParser:
     ap.add_argument("file", help="input program (mini-Boogie, or mini-C "
                                  "with --c)")
     _add_socket_flag(ap)
-    ap.add_argument("--router", metavar="ADDR", default=None,
-                    help="address of a fleet router (same wire protocol as "
-                         "a single daemon; overrides --socket)")
     ap.add_argument("--c", action="store_true", dest="c_mode",
                     help="treat the input as mini-C (HAVOC-style lowering)")
     ap.add_argument("--config", action="append", dest="configs",
@@ -384,7 +332,7 @@ def run_serve(argv: list[str], out=sys.stdout) -> int:
                    queue_limit=args.queue_limit, cache_dir=cache_dir,
                    default_deadline=args.deadline,
                    coalesce=not args.no_coalesce,
-                   hot_bytes=hot_bytes, peers=args.peers or [])
+                   hot_bytes=hot_bytes)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -392,33 +340,11 @@ def run_serve(argv: list[str], out=sys.stdout) -> int:
     return 0
 
 
-def run_fleet_cmd(argv: list[str], out=sys.stdout) -> int:
-    args = build_fleet_parser().parse_args(argv)
-    if not args.socket:
-        print("error: fleet needs --socket or $REPRO_SERVE_SOCKET",
-              file=sys.stderr)
-        return 2
-    if args.replicas < 1:
-        print("error: fleet needs at least one replica", file=sys.stderr)
-        return 2
-    from .serve.fleet import run_fleet
-    from .serve.hotcache import DEFAULT_HOT_BYTES
-    cache_dir = None if args.no_cache else args.cache_dir
-    hot_bytes = DEFAULT_HOT_BYTES if args.hot_bytes is None \
-        else max(0, args.hot_bytes)
-    return run_fleet(args.socket, replicas=args.replicas,
-                     pool_size=args.pool, queue_limit=args.queue_limit,
-                     router_queue_limit=args.router_queue_limit,
-                     cache_dir=cache_dir, deadline=args.deadline,
-                     hot_bytes=hot_bytes, vnodes=args.vnodes, out=out)
-
-
 def run_submit(argv: list[str], out=sys.stdout) -> int:
     args = build_submit_parser().parse_args(argv)
-    address = args.router or args.socket
-    if not address:
-        print("error: submit needs --socket/--router or "
-              "$REPRO_SERVE_SOCKET", file=sys.stderr)
+    if not args.socket:
+        print("error: submit needs --socket or $REPRO_SERVE_SOCKET",
+              file=sys.stderr)
         return 2
     try:
         source = open(args.file).read()
@@ -430,7 +356,7 @@ def run_submit(argv: list[str], out=sys.stdout) -> int:
     procs = [args.proc] if args.proc is not None else None
     by_key = {}
     proc_names: list[str] = []
-    client = ServeClient(address)
+    client = ServeClient(args.socket)
     try:
         for config in configs:
             rep = client.analyze(
@@ -505,8 +431,6 @@ def run(argv: list[str] | None = None, out=sys.stdout) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "serve":
         return run_serve(argv[1:], out=out)
-    if argv and argv[0] == "fleet":
-        return run_fleet_cmd(argv[1:], out=out)
     if argv and argv[0] == "submit":
         return run_submit(argv[1:], out=out)
     if argv and argv[0] == "ci":

@@ -222,11 +222,8 @@ class AnalysisCache:
     def peek(self, key: str) -> dict | None:
         """The raw on-disk record for ``key``, or ``None`` — **no side
         effects**: no hit/miss counting, no baseline seeding, no report
-        reconstruction.  This is the disk half of the fleet's
-        cross-shard cache peeking (`docs/fleet.md`): a replica answers
-        a neighbor's ``peek`` from here when its in-memory hot tier has
-        already evicted the key, and a probe on behalf of another shard
-        must not distort this shard's own cache statistics."""
+        reconstruction.  :meth:`wall_of` reads through it, so asking
+        for a record's cost does not count as a cache hit or miss."""
         path = self._path(key)
         try:
             rec = json.loads(path.read_bytes())

@@ -21,10 +21,10 @@ payload now lives here as a proper dataclass:
 * :func:`run_task` — the single dispatch point executed inside every
   worker, batch and server alike;
 * :func:`coalesce_key` — the content address the server coalesces
-  identical in-flight submissions on: the persistent-cache key (post-
-  elaboration AST fingerprint + configuration fingerprint, see
-  `repro.core.cache`) extended with the budget knobs the cache
-  deliberately excludes.
+  identical in-flight submissions and keys its hot tier on: the
+  persistent-cache key (post-elaboration AST fingerprint +
+  configuration fingerprint, see `repro.core.cache`) extended with the
+  budget knobs the cache deliberately excludes.
 
 This module is deliberately import-light: the heavy analysis stack is
 imported lazily inside :func:`run_task`, so a freshly spawned worker
@@ -191,23 +191,24 @@ def _run_control(task: AnalysisTask) -> TaskResult:
     raise ValueError(f"unknown control kind {task.kind!r}")
 
 
-def task_keys(task: AnalysisTask) -> tuple[str, str | None]:
-    """``(coalesce_key, cache_key)`` for one task.
+def coalesce_key(task: AnalysisTask) -> str:
+    """The content address identical concurrent submissions share.
 
-    ``coalesce_key`` is the content address identical concurrent
-    submissions share (see :func:`coalesce_key`); ``cache_key`` is the
-    budget-insensitive persistent-cache address the key is derived
-    from — the serving layer needs both, because the in-memory hot tier
-    and in-flight coalescing key on the former while cross-shard disk
-    peeking keys on the latter (`repro.serve.hotcache`,
-    ``docs/fleet.md``).  ``cache_key`` is ``None`` for control kinds,
-    which have no content address.
+    Two tasks with equal keys are guaranteed to produce bit-identical
+    results, so the server runs one and hands the result to both, and
+    its hot tier (`repro.serve.hotcache`) keys on the same string.  The
+    key is the persistent-cache content address (post-elaboration AST
+    fingerprint + budget-insensitive config fingerprint) **plus** the
+    budget knobs the cache deliberately leaves out — a request with a
+    different timeout may legitimately time out differently, so it
+    must not coalesce with a longer-budget twin.  Control kinds have no
+    content address and get a key that never coalesces.
     """
     from ..lang.transform import prepare_procedure
     from .cache import analysis_cache_key, cons_cache_key
     from .config import BY_NAME
     if task.kind in CONTROL_KINDS:
-        return f"control:{task.kind}:{id(task)}", None  # never coalesced
+        return f"control:{task.kind}:{id(task)}"  # never coalesced
     config = BY_NAME[task.config_name]
     if task.kind == "analyze":
         prepared = prepare_procedure(task.program,
@@ -228,18 +229,4 @@ def task_keys(task: AnalysisTask) -> tuple[str, str | None]:
     budget = (f"kind={task.kind};timeout={task.timeout};"
               f"lia_budget={task.lia_budget};self_check={task.self_check};"
               f"cache={'on' if task.cache_dir else 'off'}")
-    return hashlib.sha256(f"{base}\x00{budget}".encode()).hexdigest(), base
-
-
-def coalesce_key(task: AnalysisTask) -> str:
-    """The content address identical concurrent submissions share.
-
-    Two tasks with equal keys are guaranteed to produce bit-identical
-    results, so the server runs one and hands the result to both.  The
-    key is the persistent-cache content address (post-elaboration AST
-    fingerprint + budget-insensitive config fingerprint) **plus** the
-    budget knobs the cache deliberately leaves out — a request with a
-    different timeout may legitimately time out differently, so it
-    must not coalesce with a longer-budget twin.
-    """
-    return task_keys(task)[0]
+    return hashlib.sha256(f"{base}\x00{budget}".encode()).hexdigest()

@@ -9,41 +9,29 @@ admission, request coalescing, deadlines and crash recovery.
 Public surface:
 
 * :class:`~repro.serve.server.AnalysisServer` / ``run_server`` /
-  ``ServerThread`` — the daemon (one replica);
-* :class:`~repro.serve.router.RouterServer` / ``run_router`` /
-  ``RouterThread`` — the consistent-hash fleet router (same wire
-  protocol as a replica);
-* :class:`~repro.serve.fleet.FleetThread` / ``run_fleet`` — a whole
-  fleet (N replicas + router) as one unit;
+  ``ServerThread`` — the daemon;
 * :class:`~repro.serve.client.ServeClient` — the client library
-  (``repro submit`` is a thin wrapper over it); works unchanged
-  against a replica or a router;
+  (``repro submit`` is a thin wrapper over it);
 * :class:`~repro.serve.pool.WorkerPool` — the warm pool, usable on its
   own for embedders;
-* :class:`~repro.serve.hashring.HashRing` /
-  :class:`~repro.serve.hotcache.HotCache` — the sharding and hot-tier
-  primitives;
+* :class:`~repro.serve.hotcache.HotCache` — the daemon's in-memory hot
+  tier;
 * `repro.serve.protocol` — the wire format.
 
-See ``docs/serving.md`` for the protocol, lifecycle and metrics
-glossary, and ``docs/fleet.md`` for the sharded-fleet topology.
+See ``docs/serving.md`` for the protocol, lifecycle, hot tier and
+metrics glossary.
 """
 
 from .client import ServeClient, ServeError, retry_delay
-from .fleet import FleetThread, run_fleet
-from .hashring import HashRing
 from .hotcache import HotCache
 from .pool import PoolClosedError, WorkerPool
 from .protocol import parse_address
-from .router import RouterServer, RouterThread, run_router
 from .server import AnalysisServer, ServerThread, run_server
 
 __all__ = [
     "AnalysisServer", "ServerThread", "run_server",
-    "RouterServer", "RouterThread", "run_router",
-    "FleetThread", "run_fleet",
     "ServeClient", "ServeError", "retry_delay",
     "WorkerPool", "PoolClosedError",
-    "HashRing", "HotCache",
+    "HotCache",
     "parse_address",
 ]

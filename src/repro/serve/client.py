@@ -9,8 +9,8 @@ The client owns the retry side of the backpressure contract: a
 ``submit`` rejected with ``overloaded`` is retried with **capped
 exponential backoff seeded by the server's ``retry_after`` hint**, plus
 a deterministic per-request jitter (:func:`retry_delay`).  A fixed
-delay would synchronize a fleet of rejected clients into retrying at
-the same instant — a thundering herd against a recovering replica;
+delay would synchronize many rejected clients into retrying at
+the same instant — a thundering herd against a recovering daemon;
 jittering off the request's own content spreads them out while staying
 reproducible (the same request retries on the same schedule every
 run).  Callers see either an accepted request id or a

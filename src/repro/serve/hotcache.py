@@ -3,20 +3,17 @@
 The persistent cache (`repro.core.cache`) makes re-analysis of an
 unchanged procedure a disk read; this module makes a *recently served*
 procedure a dict lookup in the server process — no worker round-trip,
-no JSON file, no pipe.  Together they form the fleet's tiered cache:
+no JSON file, no pipe.  Together they form the daemon's tiered cache
+(``docs/serving.md``):
 
-1. **hot tier** (here): per-replica, in-memory, keyed on the full
+1. **hot tier** (here): in the server process, keyed on the full
    coalesce key (`repro.core.tasks.coalesce_key` — content address
    *plus* budget knobs), LRU-evicted under a byte budget;
 2. **disk tier** (`core/cache.py`): shared, content-addressed,
    budget-insensitive, consulted inside the workers.
 
 Entries are stored as JSON-shaped *records*, not live result objects,
-for two reasons: the byte budget needs a real size (``len(json.dumps)``
-— the same bytes a peek response would ship), and the `peek` protocol
-verb serves records to neighbor replicas verbatim, so a shard can adopt
-a keyspace range after ring changes without recomputing what its
-neighbor already has (see ``docs/fleet.md``).
+so the byte budget measures a real size (``len(json.dumps)``).
 
 Only *completed* results are stored — a timed-out or failed task
 depends on wall-clock luck, and caching it would freeze a transient
@@ -36,7 +33,7 @@ import threading
 
 from ..core.tasks import TaskResult
 
-#: Default hot-tier byte budget for the CLI daemons (64 MiB).
+#: Default hot-tier byte budget for the CLI daemon (64 MiB).
 DEFAULT_HOT_BYTES = 64 * 1024 * 1024
 
 
@@ -86,20 +83,6 @@ def record_to_result(record: dict) -> TaskResult:
     raise ValueError(f"unknown hot-tier record kind {kind!r}")
 
 
-def record_from_cache_record(rec: dict) -> dict | None:
-    """Convert a raw *disk*-tier record (`AnalysisCache.peek`) into the
-    hot-tier shape, so a replica can answer a neighbor's peek from its
-    disk when its hot tier has already evicted the key."""
-    kind = rec.get("kind")
-    if kind == "analysis":
-        return {"kind": "analyze", "proc": rec.get("proc", ""),
-                "report": rec["report"]}
-    if kind == "cons":
-        return {"kind": "cons", "proc": rec.get("proc", ""),
-                "warnings": list(rec["warnings"])}
-    return None
-
-
 # ----------------------------------------------------------------------
 # the LRU tier
 # ----------------------------------------------------------------------
@@ -121,17 +104,15 @@ class HotCache:
         self.evictions = 0
         self.oversize = 0
 
-    def get(self, key: str, *, touch: bool = True) -> dict | None:
-        """The record for ``key`` or ``None``.  ``touch=False`` reads
-        without promoting — used by the `peek` verb so a neighbor's
-        probe does not distort this replica's own recency order."""
+    def get(self, key: str) -> dict | None:
+        """The record for ``key`` (promoted to most recently used), or
+        ``None``."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            if touch:
-                self._entries.move_to_end(key)
+            self._entries.move_to_end(key)
             self.hits += 1
             return entry[0]
 
@@ -169,8 +150,8 @@ class HotCache:
             return self._bytes
 
     def stats(self) -> dict:
-        """Counters + gauges for the ``metrics`` verb (`docs/fleet.md`
-        glossary: ``hot.*``)."""
+        """Counters + gauges for the ``metrics`` verb
+        (``docs/serving.md`` glossary: ``hot.*``)."""
         with self._lock:
             return {"entries": len(self._entries), "bytes": self._bytes,
                     "max_bytes": self.max_bytes, "hits": self.hits,

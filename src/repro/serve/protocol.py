@@ -7,10 +7,7 @@ language (or ``nc``) can speak it — and every response carries ``ok``:
 * ``{"ok": true, ...verb-specific fields...}``
 * ``{"ok": false, "error": "<code>", "message": "...", ...}``
 
-Verbs (client → server), documented in full in ``docs/serving.md``.
-A fleet router (`repro.serve.router`, ``docs/fleet.md``) speaks the
-same protocol, so clients need not know whether they face one replica
-or a sharded fleet:
+Verbs (client → server), documented in full in ``docs/serving.md``:
 
 ========  ==========================================================
 verb      meaning
@@ -21,18 +18,13 @@ result    the finished ``ProgramReport`` (optionally waiting for it)
 metrics   queue depth, in-flight count, latency histograms, counters
 drain     stop accepting, finish everything accepted, then shut down
 ping      liveness probe (also used by clients to wait for startup)
-peek      replica↔replica: look up a cached result by content key
-          (hot tier then disk) without computing — cross-shard cache
-          peeking; never issued by ordinary clients
-topology  router only: the live/dead replica sets and ring geometry
 ========  ==========================================================
 
 Error codes a client must expect: ``overloaded`` (bounded queue full —
 carries ``retry_after`` seconds), ``draining`` (server is shutting
 down), ``bad_request``, ``unknown_request``, ``pending`` (result asked
-without wait before completion), ``too_large`` (line over
-:data:`MAX_LINE`), and — from a router — ``no_replicas`` (every shard
-is dead).
+without wait before completion) and ``too_large`` (line over
+:data:`MAX_LINE`).
 
 Addresses are a single string: a path (anything containing ``/`` or
 ending in ``.sock``) selects a Unix domain socket, ``host:port``

@@ -20,11 +20,7 @@ TCP socket.  What the frontend adds over the bare pool:
   results are kept in a byte-bounded in-memory LRU
   (`repro.serve.hotcache`) keyed on the same coalesce key: a repeat
   submission is answered from the server process without touching a
-  worker, the disk cache, or the pool queue.  The ``peek`` verb exposes
-  the tier (hot first, then the local disk tier via
-  ``AnalysisCache.peek``) to *neighbor replicas*, and ``peers`` makes
-  this server probe its neighbors before computing a cold key — the
-  cross-shard half of the fleet's tiered cache (``docs/fleet.md``).
+  worker, the disk cache, or the pool queue (``docs/serving.md``).
 
 * **Deadlines.**  A request-level deadline rides every task into the
   pool: expired-while-queued tasks never occupy a worker, and a task
@@ -52,9 +48,8 @@ import time
 
 from ..core.analysis import failure_report, program_report_to_json
 from ..core.config import BY_NAME
-from ..core.tasks import AnalysisTask, task_keys
-from .hotcache import (HotCache, record_from_cache_record, record_to_result,
-                       result_to_record)
+from ..core.tasks import AnalysisTask, coalesce_key
+from .hotcache import HotCache, record_to_result, result_to_record
 from .metrics import ServerMetrics
 from .pool import PoolClosedError, WorkerPool
 from .protocol import MAX_LINE, ProtocolError, decode, encode, error, ok
@@ -62,10 +57,6 @@ from .protocol import parse_address
 
 #: Completed requests kept for late ``status``/``result`` readers.
 MAX_FINISHED_REQUESTS = 4096
-
-#: How long a cold submission waits on neighbor ``peek`` probes before
-#: giving up and computing locally (seconds).
-PEEK_TIMEOUT = 0.5
 
 
 class _Flight:
@@ -106,8 +97,7 @@ class AnalysisServer:
                  queue_limit: int = 64, cache_dir: str | None = None,
                  default_deadline: float | None = None,
                  coalesce: bool = True, pool: WorkerPool | None = None,
-                 hot_bytes: int = 0, peers: list[str] | None = None,
-                 peek_timeout: float = PEEK_TIMEOUT):
+                 hot_bytes: int = 0):
         self.address = parse_address(address)
         self.address_spec = address
         self.queue_limit = queue_limit
@@ -115,9 +105,6 @@ class AnalysisServer:
         self.default_deadline = default_deadline
         self.coalesce = coalesce
         self.hot_cache = HotCache(hot_bytes) if hot_bytes else None
-        self.peers = [p for p in (peers or []) if p != address]
-        self.peek_timeout = peek_timeout
-        self._peek_disk = None  # lazy AnalysisCache for answering peeks
         self.metrics = ServerMetrics()
         self.pool = pool or WorkerPool(pool_size, metrics=self.metrics)
         self._owns_pool = pool is None
@@ -256,8 +243,6 @@ class AnalysisServer:
             return await self._op_result(msg)
         if verb == "metrics":
             return ok(metrics=self.snapshot())
-        if verb == "peek":
-            return self._op_peek(msg)
         if verb == "drain":
             return await self._op_drain()
         return error("bad_request", f"unknown verb {verb!r}")
@@ -335,7 +320,7 @@ class AnalysisServer:
             self._requests.pop(oldest)
 
         for idx, task in enumerate(tasks):
-            key, cache_key = await asyncio.to_thread(_safe_keys, task)
+            key = await asyncio.to_thread(_safe_key, task)
             if self.hot_cache is not None:
                 hot = self._hot_lookup(key)
                 if hot is not None:
@@ -353,7 +338,7 @@ class AnalysisServer:
             flight.waiters.append((req, idx))
             self._inflight[key] = flight
             self._spawn(
-                self._run_flight(key, cache_key, flight, task, deadline,
+                self._run_flight(key, flight, task, deadline,
                                  priority=priority))
         req.state = "running" if req.done < len(tasks) else "done"
         self.metrics.inc("requests_accepted")
@@ -388,27 +373,6 @@ class AnalysisServer:
         return ok(id=req.id, kind=req.kind, report=req.report_json,
                   failures=req.n_failures)
 
-    def _op_peek(self, msg: dict) -> dict:
-        """Answer a neighbor replica's cache probe: hot tier first, the
-        local disk tier second.  Pure lookup — never computes, never
-        recurses into our own peers, and never touches this replica's
-        recency order or disk-cache statistics."""
-        self.metrics.inc("peek_requests")
-        key = msg.get("key")
-        record = None
-        if self.hot_cache is not None and isinstance(key, str):
-            record = self.hot_cache.get(key, touch=False)
-        if record is None:
-            cache_key = msg.get("cache_key")
-            if isinstance(cache_key, str) and self.cache_dir:
-                rec = self._disk_peeker().peek(cache_key)
-                if rec is not None:
-                    record = record_from_cache_record(rec)
-        if record is None:
-            return ok(found=False)
-        self.metrics.inc("peek_served")
-        return ok(found=True, record=record)
-
     async def _op_drain(self) -> dict:
         await self.shutdown()
         counters = self.metrics.snapshot().get("counters", {})
@@ -431,99 +395,25 @@ class AnalysisServer:
         except Exception:  # noqa: BLE001 — stale record = miss
             return None
 
-    async def _run_flight(self, key: str, cache_key: str | None,
-                          flight: _Flight, task: AnalysisTask,
-                          deadline: float | None,
+    async def _run_flight(self, key: str, flight: _Flight,
+                          task: AnalysisTask, deadline: float | None,
                           priority: int = 0) -> None:
-        """Produce one result for ``key``: neighbor peek when peers are
-        configured, the worker pool otherwise; then populate the hot
-        tier and deliver to every coalesced waiter."""
-        result = None
-        if self.hot_cache is not None and self.peers:
-            record = await self._peek_peers(key, cache_key)
+        """Produce one result for ``key`` on the worker pool, populate
+        the hot tier, and deliver to every coalesced waiter."""
+        try:
+            future = self.pool.submit(task, deadline_seconds=deadline,
+                                      priority=priority)
+        except PoolClosedError:
+            result = _pool_closed_result(task)
+        else:
+            result = await asyncio.wrap_future(future)
+        if self.hot_cache is not None:
+            record = result_to_record(result)
             if record is not None:
-                try:
-                    result = record_to_result(record)
-                except Exception:  # noqa: BLE001 — bad peer record
-                    result = None
-                if result is not None:
-                    self.metrics.inc("hot_peek_hits")
-                    self.hot_cache.put(key, record)
-        if result is None:
-            try:
-                future = self.pool.submit(task, deadline_seconds=deadline,
-                                          priority=priority)
-            except PoolClosedError:
-                result = _pool_closed_result(task)
-            else:
-                result = await asyncio.wrap_future(future)
-            if self.hot_cache is not None:
-                record = result_to_record(result)
-                if record is not None:
-                    self.hot_cache.put(key, record)
+                self.hot_cache.put(key, record)
         self._inflight.pop(key, None)
         for req, idx in flight.waiters:
             self._deliver(req, idx, result)
-
-    def _disk_peeker(self):
-        """Lazy read-only handle on the disk tier for answering peeks
-        (the workers own their own handles for real lookups)."""
-        if self._peek_disk is None:
-            from ..core.cache import AnalysisCache
-            self._peek_disk = AnalysisCache(self.cache_dir)
-        return self._peek_disk
-
-    async def _peek_peers(self, key: str, cache_key: str | None):
-        """Probe every peer for ``key`` concurrently; first found
-        record wins.  Unreachable or slow peers are simply misses — a
-        peek can save work, never add failure modes."""
-        probes = [asyncio.ensure_future(self._peek_one(p, key, cache_key))
-                  for p in self.peers]
-        record = None
-        try:
-            for fut in asyncio.as_completed(probes,
-                                            timeout=self.peek_timeout):
-                try:
-                    rec = await fut
-                except Exception:  # noqa: BLE001 — dead peer = miss
-                    continue
-                if rec is not None:
-                    record = rec
-                    break
-        except asyncio.TimeoutError:
-            pass
-        for probe in probes:
-            probe.cancel()
-        return record
-
-    async def _peek_one(self, peer: str, key: str,
-                        cache_key: str | None):
-        addr = parse_address(peer)
-        if addr[0] == "unix":
-            reader, writer = await asyncio.open_unix_connection(
-                addr[1], limit=MAX_LINE)
-        else:
-            reader, writer = await asyncio.open_connection(
-                addr[1], addr[2], limit=MAX_LINE)
-        try:
-            msg = {"op": "peek", "key": key}
-            if cache_key is not None:
-                msg["cache_key"] = cache_key
-            writer.write(encode(msg))
-            await writer.drain()
-            line = await reader.readline()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionResetError):
-                pass
-        if not line:
-            return None
-        resp = decode(line)
-        if resp.get("ok") and resp.get("found"):
-            return resp.get("record")
-        return None
 
     def _deliver(self, req: _Request, idx: int, result) -> None:
         if req.slots[idx] is not None:
@@ -571,7 +461,6 @@ class AnalysisServer:
             queue_limit=self.queue_limit,
             coalesce=self.coalesce,
             cache_dir=self.cache_dir,
-            peers=list(self.peers),
             hot=(self.hot_cache.stats()
                  if self.hot_cache is not None else None))
 
@@ -590,20 +479,14 @@ def _parse(source: str, lang: str, unroll: int):
     raise ValueError(f"unknown lang {lang!r} (expected 'boogie' or 'c')")
 
 
-def _safe_keys(task: AnalysisTask) -> tuple[str, str | None]:
-    """``(coalesce_key, cache_key)``, degrading to a never-coalescing
-    unique key if the fingerprint computation itself fails (the worker
-    will then report the real error as a structured failure)."""
-    try:
-        return task_keys(task)
-    except Exception:  # noqa: BLE001
-        return f"nocoalesce:{id(task)}:{time.monotonic_ns()}", None
-
-
 def _safe_key(task: AnalysisTask) -> str:
-    """Backward-compatible alias of the coalesce half of
-    :func:`_safe_keys`."""
-    return _safe_keys(task)[0]
+    """The task's coalesce key, degrading to a never-coalescing unique
+    key if the fingerprint computation itself fails (the worker will
+    then report the real error as a structured failure)."""
+    try:
+        return coalesce_key(task)
+    except Exception:  # noqa: BLE001
+        return f"nocoalesce:{id(task)}:{time.monotonic_ns()}"
 
 
 def _pool_closed_result(task: AnalysisTask):

@@ -1,7 +1,7 @@
 """End-to-end daemon tests through the real CLI: ``python -m repro
 serve`` + ``python -m repro submit`` in subprocesses, byte-identical
-output vs the batch CLI, env-var socket discovery, and clean SIGTERM
-shutdown with no orphaned workers."""
+output vs the batch CLI, env-var socket discovery, clean SIGTERM
+shutdown with no orphaned workers, and no orphans after a SIGKILL."""
 
 import os
 import signal
@@ -129,6 +129,30 @@ class TestDaemonLifecycle:
             time.sleep(0.05)
         alive = [p for p in pids if _alive(p)]
         assert not alive, f"orphaned workers: {alive}"
+
+    def test_sigkill_leaves_no_orphan_workers(self, tmp_path):
+        # No drain runs on SIGKILL: the workers must notice their pipe
+        # closing and exit on their own.
+        sock = str(tmp_path / "k.sock")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", sock,
+             "--pool", "1"],
+            env=_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            with ServeClient(sock) as client:
+                client.wait_ready(timeout=120)
+                pids = client.metrics()["worker_pids"]
+        finally:
+            proc.kill()
+            proc.wait(60)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if not any(_alive(p) for p in pids):
+                break
+            time.sleep(0.05)
+        alive = [p for p in pids if _alive(p)]
+        assert not alive, f"orphaned workers after SIGKILL: {alive}"
 
 
 def test_serve_without_socket_exits_2():

@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.analysis import ProcedureReport
 from repro.core.tasks import TaskResult
-from repro.serve.hotcache import (HotCache, record_from_cache_record,
-                                  record_to_result, result_to_record)
+from repro.serve.hotcache import HotCache, record_to_result, result_to_record
 
 
 def _sized_record(n_bytes: int, tag: str) -> dict:
@@ -44,19 +43,10 @@ class TestLRU:
         hc.put("c", _sized_record(100, "c"))
         hc.get("a")  # promote a; b becomes the LRU victim
         hc.put("d", _sized_record(100, "d"))
-        assert hc.get("b", touch=False) is None
-        assert hc.get("a", touch=False) is not None
-        assert hc.get("c", touch=False) is not None
-        assert hc.get("d", touch=False) is not None
-
-    def test_peek_read_does_not_promote(self):
-        hc = HotCache(max_bytes=200)
-        hc.put("a", _sized_record(100, "a"))
-        hc.put("b", _sized_record(100, "b"))
-        hc.get("a", touch=False)  # a peek must leave "a" the LRU victim
-        hc.put("c", _sized_record(100, "c"))
-        assert hc.get("a", touch=False) is None
-        assert hc.get("b", touch=False) is not None
+        assert hc.get("b") is None
+        assert hc.get("a") is not None
+        assert hc.get("c") is not None
+        assert hc.get("d") is not None
 
     def test_oversize_record_rejected(self):
         hc = HotCache(max_bytes=100)
@@ -120,13 +110,3 @@ class TestCodecs:
         rec["report"]["from_the_future"] = 1
         with pytest.raises(ValueError):
             record_to_result(rec)
-
-    def test_disk_record_conversion(self):
-        from dataclasses import asdict
-        disk = {"kind": "analysis", "proc": "p",
-                "report": asdict(self._report(warnings=["A1"]))}
-        hot = record_from_cache_record(disk)
-        assert record_to_result(hot).report.warnings == ["A1"]
-        disk_cons = {"kind": "cons", "proc": "p", "warnings": ["w"]}
-        assert record_from_cache_record(disk_cons)["kind"] == "cons"
-        assert record_from_cache_record({"kind": "junk"}) is None

@@ -64,6 +64,6 @@ def test_served_selfcheck_matches_batch_and_trusts_nothing(tmp_path, suite):
     # self-check actually took effect on both sides...
     assert batch_certs["sat_checked"] + batch_certs["unsat_checked"] > 0
     # ...and with checked_theory_lemmas on (the default) no certificate
-    # anywhere in the fleet fell back to trusting a lemma
+    # on either side fell back to trusting a lemma
     assert batch_certs["lemmas_trusted"] == 0
     assert served_certs["lemmas_trusted"] == 0

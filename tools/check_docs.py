@@ -8,10 +8,10 @@
    (a `compileall`-style syntax check; snippets are compiled, never
    executed).
 3. **Cross-link check**: load-bearing edges in the doc graph must stay
-   wired — e.g. the fleet page must be reachable from README.md,
-   architecture.md, serving.md and cli.md, and must link back to the
-   single-daemon and cache pages it builds on.  A doc restructure that
-   orphans a page fails here, not in a reader's dead end.
+   wired — e.g. the serving page must be reachable from README.md,
+   architecture.md, cli.md and ci_mode.md, and must link back to the
+   CLI page that documents its flags.  A doc restructure that orphans
+   a page fails here, not in a reader's dead end.
 4. **Path check**: every repo path named in inline code in README.md
    and docs/*.md must exist.  A repo path is a whitespace-separated
    token that starts with ``src/``, ``tests/``, ``tools/``,
@@ -111,24 +111,22 @@ def check_paths(path: Path) -> list[str]:
 
 
 # Load-bearing doc-graph edges: source file -> link targets it must
-# carry (matched against resolved link paths, so "fleet.md" and
-# "docs/fleet.md" both count).  Keep this list small — it is a contract
+# carry (matched against resolved link paths, so "serving.md" and
+# "docs/serving.md" both count).  Keep this list small — it is a contract
 # for navigability, not an index of every link.
 REQUIRED_LINKS: dict[str, list[str]] = {
-    "README.md": ["docs/fleet.md", "docs/serving.md", "docs/ci_mode.md",
+    "README.md": ["docs/serving.md", "docs/ci_mode.md",
                   "docs/scenarios.md"],
-    "docs/architecture.md": ["docs/fleet.md", "docs/serving.md",
-                             "docs/ci_mode.md", "docs/scenarios.md"],
-    "docs/serving.md": ["docs/fleet.md", "docs/cli.md"],
-    "docs/cli.md": ["docs/fleet.md", "docs/serving.md",
-                    "docs/ci_mode.md", "docs/scenarios.md"],
+    "docs/architecture.md": ["docs/serving.md", "docs/ci_mode.md",
+                             "docs/scenarios.md"],
+    "docs/serving.md": ["docs/cli.md"],
+    "docs/cli.md": ["docs/serving.md", "docs/ci_mode.md",
+                    "docs/scenarios.md"],
     "docs/scenarios.md": ["docs/architecture.md", "docs/cli.md",
                           "docs/ci_mode.md", "docs/testing.md"],
     "docs/ci_mode.md": ["docs/caching.md", "docs/cli.md",
                         "docs/architecture.md", "docs/serving.md"],
     "docs/caching.md": ["docs/ci_mode.md"],
-    "docs/fleet.md": ["docs/serving.md", "docs/caching.md",
-                      "docs/cli.md", "docs/architecture.md"],
     "docs/smt_architecture.md": ["docs/testing.md"],
     "docs/testing.md": ["docs/smt_architecture.md"],
 }
