@@ -26,6 +26,7 @@ case on each pytest run, forever.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,10 +81,20 @@ class CampaignResult:
     disagreements: list = field(default_factory=list)
     certificate_failures: list = field(default_factory=list)
     corpus_files: list = field(default_factory=list)
+    #: per iteration, in order: (heavyweight or focused oracle, wall s)
+    iteration_walls: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.disagreements and not self.certificate_failures
+
+    def slowest(self) -> tuple[int, str, float] | None:
+        """``(iteration, oracle, seconds)`` of the slowest iteration."""
+        if not self.iteration_walls:
+            return None
+        i = max(range(len(self.iteration_walls)),
+                key=lambda i: self.iteration_walls[i][1])
+        return (i, *self.iteration_walls[i])
 
 
 def _case_header(case: CampaignCase, campaign_seed: int) -> str:
@@ -197,8 +208,10 @@ def run_campaign(seed: int = 0, iterations: int = 300,
 
     for i in range(iterations):
         s = iteration_seed(seed, i)
+        t0 = time.perf_counter()
         if only is not None:
             run_one(only, focus_config, s + 1, i)
+            result.iteration_walls.append((only, time.perf_counter() - t0))
             if progress is not None and (i + 1) % 25 == 0:
                 progress(f"{i + 1}/{iterations} iterations (only={only}), "
                          f"{len(result.disagreements)} disagreements, "
@@ -210,6 +223,7 @@ def run_campaign(seed: int = 0, iterations: int = 300,
         run_one(heavy, config, s + 1, i)
         if jobs_every and (i + 1) % jobs_every == 0:
             run_one("jobs", _JOBS_CONFIG, s + 2, i)
+        result.iteration_walls.append((heavy, time.perf_counter() - t0))
         if progress is not None and (i + 1) % 25 == 0:
             progress(f"{i + 1}/{iterations} iterations, "
                      f"{len(result.disagreements)} disagreements, "

@@ -29,14 +29,9 @@ rather than at the model check.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
 from . import proofcheck as _pc
 from .terms import Op, Term
 from .theories.lia import LiaBudgetExceeded, LiaSolver
-
-_ONE = Fraction(1)
 
 
 def _cert_error(msg: str):
@@ -193,7 +188,7 @@ class _Row:
         self.kind = kind
         self.coeffs = coeffs
         self.const = const
-        # src: ("prem", i) | ("comb", kind, ((Fraction, _Row), ...))
+        # src: ("prem", i) | ("comb", kind, ((int multiplier, _Row), ...))
         # | ("branch",) for split-introduced rows
         self.src = src
 
@@ -226,34 +221,36 @@ def _comb_row(kind, entries, budget):
 def _refute_convex(eqs, les, budget):
     """Find a contradiction among equation/inequality rows, mirroring
     the solver's Gaussian elimination + Fourier–Motzkin with integer
-    tightening.  Returns a contra descriptor or None."""
+    tightening.  Returns a contra descriptor or None.
+
+    Every multiplier is an integer.  Eliminating the pivot ``cv·var`` of
+    an equation from a row with coefficient ``c`` combines
+    ``|cv|·row − sign(cv)·c·equation``: a positive multiple of the row
+    the solver derives, which the checker's tightening brings back to
+    the solver's row for an inequality."""
     work = list(eqs)
     cur = []
     for r in les:
         if not r.coeffs:
             if r.const > 0:
-                return ("comb", "le", ((_ONE, r),))
+                return ("comb", "le", ((1, r),))
             continue
         cur.append(r)
     while work:
         e = work.pop()
         if not e.coeffs:
             if e.const != 0:
-                return ("comb", "eq", ((_ONE, e),))
+                return ("comb", "eq", ((1, e),))
             continue
         # materialize the equation's own gcd-infeasibility check
-        _node, contra = _comb_row("eq", ((_ONE, e),), budget)
+        _node, contra = _comb_row("eq", ((1, e),), budget)
         if contra:
             return contra
-        denom = 1
-        for v in list(e.coeffs.values()) + [e.const]:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        int_coeffs = {k: int(v * denom) for k, v in e.coeffs.items()}
-        int_const = int(e.const * denom)
-        var = LiaSolver._lossless_pivot(int_coeffs, int_const)
+        var = LiaSolver._lossless_pivot(e.coeffs, e.const)
         if var is None:
             var = next(iter(e.coeffs))
         cv = e.coeffs[var]
+        scale, sign = abs(cv), (1 if cv > 0 else -1)
 
         def elim(rows):
             out = []
@@ -262,7 +259,7 @@ def _refute_convex(eqs, les, budget):
                 if not c:
                     out.append(r)
                     continue
-                nr, con = _comb_row(r.kind, ((_ONE, r), (-Fraction(c) / cv, e)),
+                nr, con = _comb_row(r.kind, ((scale, r), (-sign * c, e)),
                                     budget)
                 if con:
                     return out, con
@@ -282,7 +279,7 @@ def _refute_convex(eqs, les, budget):
     current = []
     for r in cur:
         if r.src[0] != "comb":
-            nr, contra = _comb_row("le", ((_ONE, r),), budget)
+            nr, contra = _comb_row("le", ((1, r),), budget)
             if contra:
                 return contra
             r = nr
@@ -367,8 +364,7 @@ def _emit_result(result, index_map: dict, length: int) -> list:
         if idx is not None:
             return idx
         _tag, kind, entries = row.src
-        terms = tuple((c.numerator, c.denominator, mat(dep))
-                      for c, dep in entries)
+        terms = tuple((c, 1, mat(dep)) for c, dep in entries)
         script.append(("comb", kind, terms))
         imap[row] = counter[0]
         counter[0] += 1
@@ -376,8 +372,7 @@ def _emit_result(result, index_map: dict, length: int) -> list:
 
     if result[0] == "direct":
         contra = result[1]
-        terms = tuple((c.numerator, c.denominator, mat(dep))
-                      for c, dep in contra[2])
+        terms = tuple((c, 1, mat(dep)) for c, dep in contra[2])
         script.append(("comb", contra[1], terms))
         return script
     _tag, ne, lo_row, hi_row, lo_res, hi_res = result

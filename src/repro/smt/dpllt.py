@@ -36,7 +36,6 @@ Two cross-check performance layers ride on top (both controlled by
 
 from __future__ import annotations
 
-from fractions import Fraction
 from time import perf_counter as _now
 
 from .certify import justify_lemma
@@ -48,17 +47,17 @@ from .theories.lia import LiaSolver
 from .tuning import TUNING
 
 
-def linearize(t: Term) -> tuple[dict[int, Fraction], Fraction, dict[int, Term]]:
+def linearize(t: Term) -> tuple[dict[int, int], int, dict[int, Term]]:
     """Decompose an Int term into (coeffs over opaque keys, constant, key terms).
 
     Keys are term ids of maximal non-arithmetic subterms; non-linear
     multiplication makes the whole product opaque.
     """
-    coeffs: dict[int, Fraction] = {}
-    const = Fraction(0)
+    coeffs: dict[int, int] = {}
+    const = 0
     keys: dict[int, Term] = {}
 
-    def go(node: Term, scale: Fraction) -> None:
+    def go(node: Term, scale: int) -> None:
         nonlocal const
         op = node.op
         if op is Op.INTCONST:
@@ -82,24 +81,24 @@ def linearize(t: Term) -> tuple[dict[int, Fraction], Fraction, dict[int, Term]]:
         else:
             _opaque(node, scale)
 
-    def _opaque(node: Term, scale: Fraction) -> None:
+    def _opaque(node: Term, scale: int) -> None:
         keys[node.tid] = node
-        nv = coeffs.get(node.tid, Fraction(0)) + scale
+        nv = coeffs.get(node.tid, 0) + scale
         if nv:
             coeffs[node.tid] = nv
         else:
             coeffs.pop(node.tid, None)
 
-    go(t, Fraction(1))
+    go(t, 1)
     return coeffs, const, keys
 
 
-def _lin_diff(a: Term, b: Term) -> tuple[dict[int, Fraction], Fraction, dict[int, Term]]:
+def _lin_diff(a: Term, b: Term) -> tuple[dict[int, int], int, dict[int, Term]]:
     ca, ka, terms_a = linearize(a)
     cb, kb, terms_b = linearize(b)
     coeffs = dict(ca)
     for k, v in cb.items():
-        nv = coeffs.get(k, Fraction(0)) - v
+        nv = coeffs.get(k, 0) - v
         if nv:
             coeffs[k] = nv
         else:

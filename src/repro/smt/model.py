@@ -33,14 +33,12 @@ pins the supported fragment.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
-from math import ceil, floor
 
 from .api import Solver
 from .dpllt import _lin_diff, linearize
 from .terms import Op, Sort, Term
-from .theories.lia import LiaSolver, _tighten, lin_add, lin_scale
+from .theories.lia import LiaSolver, _tighten, lin_comb
 
 
 class Model:
@@ -243,24 +241,26 @@ def _build_from_state(theory, atoms) -> Model | None:
                 rest += c * assigned[k]
             a = coeffs[var]       # a * var + rest <= 0
             if a > 0:
-                bound = floor(-rest / a)
+                bound = -rest // a                  # floor(-rest / a)
                 hi = bound if hi is None else min(hi, bound)
             else:
-                bound = ceil(rest / -a)
+                bound = -(rest // a)                # ceil(rest / -a)
                 lo = bound if lo is None else max(lo, bound)
         if lo is not None and hi is not None and lo > hi:
             return None
         give(var, lo, hi)
-    for var, coeffs, const, _ in reversed(pre.subs):
-        value = const
-        for k, c in coeffs.items():
-            if k not in assigned:
-                give(k)
-            value += c * assigned[k]
-        if value.denominator != 1:
+    for var, a, rest, k, _ in reversed(pre.subs):
+        # a * var + rest + k = 0
+        value = -k
+        for key, c in rest.items():
+            if key not in assigned:
+                give(key)
+            value -= c * assigned[key]
+        if value % a:
             return None
-        assigned[var] = int(value)
-        used.add(int(value))
+        value //= a
+        assigned[var] = value
+        used.add(value)
     apps = _applications(classes)
     free = [k for _, _, args in apps for arg in args
             for k in linearize(arg)[0]]
@@ -304,9 +304,8 @@ def _fm_levels(rows, budget: int) -> list[tuple[int, list]] | None:
         for pc, pk, _ in pos_cs:
             for nc, nk, _ in neg_cs:
                 a, b = pc[var], -nc[var]
-                coeffs = lin_add(lin_scale(pc, b), lin_scale(nc, a))
-                coeffs.pop(var, None)
-                coeffs, const = _tighten(coeffs, b * pk + a * nk)
+                coeffs, const = _tighten(lin_comb(pc, b, nc, a),
+                                         b * pk + a * nk)
                 if not coeffs:
                     if const > 0:
                         return None
@@ -450,8 +449,7 @@ def _try_build(solver: Solver, atoms, bound: int, salt: int) -> Model | None:
                 assigned[key] = v
                 ack, child_merged = ackermann_eqs(merged)
                 trial = work_eqs + \
-                    [({key: Fraction(1)}, Fraction(-v),
-                      frozenset({"pin"}))] + ack
+                    [({key: 1}, -v, frozenset({"pin"}))] + ack
                 if lia.check(trial, ineqs, diseqs) is None and \
                         pin_search(i + 1, trial, diseqs, child_merged):
                     return True
@@ -471,7 +469,7 @@ def _linear_value(t: Term, assigned: dict[int, int]) -> int | None:
         if tid not in assigned:
             return None
         total += coeff * assigned[tid]
-    return int(total) if total.denominator == 1 else None
+    return total
 
 
 def _tables(theory, classes: dict, assigned: dict[int, int], key_terms,

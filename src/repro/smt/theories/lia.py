@@ -1,17 +1,25 @@
 """Linear integer arithmetic by explained Fourier–Motzkin elimination.
 
 Constraints are linear forms over opaque variable keys (the DPLL(T) layer
-uses term ids of non-arithmetic subterms).  Coefficients are exact
-``Fraction`` values; every constraint carries a frozenset of *premise
-tokens* so an infeasibility verdict comes with an explanation (the union of
-the premises of the constraints combined into the contradiction).
+uses term ids of non-arithmetic subterms).  Coefficients and constants
+are plain Python integers: every VC atom has integer coefficients, and
+every step below keeps them integral.  Every constraint carries a
+frozenset of *premise tokens* so an infeasibility verdict comes with an
+explanation (the union of the premises of the constraints combined into
+the contradiction).
 
 Pipeline per :func:`check` call:
 
-1. Gaussian elimination of equations (with per-equation integer gcd test).
-2. Integer tightening of inequalities (normalize to integer coefficients,
-   divide by the gcd of the variable coefficients, floor the constant).
-3. Fourier–Motzkin elimination, cheapest variable first.
+1. Gaussian elimination of equations, free of fractions.  Each equation
+   is divided by its content (the gcd of its coefficients, which must
+   divide the constant, or the equation has no integer solution), so a
+   lossless pivot has coefficient ±1 and substitutes exactly.  A lossy
+   pivot ``a·x + rest + k = 0`` eliminates ``x`` from a row with
+   coefficient ``c`` by cross-multiplying: ``a·row − c·equation``.
+2. Integer tightening of inequalities (divide by the gcd of the
+   variable coefficients, floor the constant).
+3. Fourier–Motzkin elimination, cheapest variable first, combining rows
+   with positive integer multipliers.
 4. Disequalities last: ``e != 0`` conflicts iff both ``e <= -1`` and
    ``e >= 1`` are infeasible with the rest.
 
@@ -35,8 +43,7 @@ already-reduced rows — see :meth:`LiaSolver.context`.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import floor, gcd
+from math import gcd
 
 
 class LiaBudgetExceeded(Exception):
@@ -53,50 +60,101 @@ class LiaBudgetExceeded(Exception):
 PR3_PIVOT_BUG = False
 
 
-# A linear form is dict[key, Fraction]; a constraint is
+# A linear form is dict[key, int] with no zero values, kept in insertion
+# order (elimination picks variables by it); a constraint is
 # (coeffs, const, premises) meaning  sum(coeffs * x) + const <= 0  (an
-# inequality) or == 0 (an equation).
+# inequality) or == 0 (an equation).  A substitution-chain entry
+# (var, a, rest, k, premises) records the equation  a*var + rest + k = 0
+# with a > 0 that eliminated var.
 
 LinForm = dict
 Constraint = tuple
 
 
-def lin_add(a: LinForm, b: LinForm) -> LinForm:
-    out = dict(a)
+def lin_comb(a: LinForm, sa: int, b: LinForm, sb: int) -> LinForm:
+    """``sa·a + sb·b`` (``sa`` nonzero): ``a``'s keys in order, then the
+    new keys of ``b``; cancelled keys are dropped."""
+    out = {k: v * sa for k, v in a.items()}
     for k, v in b.items():
-        nv = out.get(k, Fraction(0)) + v
+        nv = out.get(k, 0) + v * sb
         if nv:
             out[k] = nv
         else:
-            out.pop(k, None)
+            del out[k]
     return out
 
 
-def lin_scale(a: LinForm, s: Fraction) -> LinForm:
-    if not s:
-        return {}
-    return {k: v * s for k, v in a.items()}
+def _neg(coeffs: LinForm) -> LinForm:
+    return {k: -v for k, v in coeffs.items()}
 
 
-def _tighten(coeffs: LinForm, const: Fraction) -> tuple[LinForm, Fraction]:
-    """Integer tightening of ``sum coeffs + const <= 0``."""
+def _tighten(coeffs: LinForm, const: int) -> tuple[LinForm, int]:
+    """Integer tightening of ``sum coeffs + const <= 0``: with g the gcd
+    of the coefficients, ``sum (a_i/g) x_i <= floor(-const/g)``.  The
+    result is the same for a row and any positive multiple of it."""
     if not coeffs:
         return coeffs, const
-    denom = 1
-    for v in coeffs.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    denom = denom * const.denominator // gcd(denom, const.denominator)
-    ints = {k: int(v * denom) for k, v in coeffs.items()}
-    c = const * denom
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    if g == 0:
-        return {}, const
-    # sum a_i x_i <= -c  ->  sum (a_i/g) x_i <= floor(-c/g)
-    rhs = Fraction(floor(-c / g))
-    new_coeffs = {k: Fraction(v, g) for k, v in ints.items()}
-    return new_coeffs, -rhs
+    g = gcd(*coeffs.values())
+    if g == 1:
+        return coeffs, const
+    # floor division rounds toward -inf, as the bound must
+    return {k: v // g for k, v in coeffs.items()}, -(-const // g)
+
+
+def _pivot_entry(coeffs: LinForm, const: int):
+    """Solve the equation ``coeffs + const = 0`` for a pivot; returns the
+    chain entry ``(var, a, rest, k)``, or None when the equation has no
+    integer solution (gcd test).  The equation is first divided by its
+    content, so a lossless pivot gets a = 1."""
+    g = gcd(*coeffs.values())
+    if const % g:
+        return None
+    if g != 1:
+        coeffs = {k: v // g for k, v in coeffs.items()}
+        const //= g
+    var = LiaSolver._lossless_pivot(coeffs, const)
+    if var is None:
+        # no lossless pivot (e.g. 2x + 3y + 1 = 0): cross-multiplying
+        # keeps the elimination rational-complete
+        var = next(iter(coeffs))
+    a = coeffs[var]
+    if a > 0:
+        rest = {k: v for k, v in coeffs.items() if k != var}
+    else:
+        a, const = -a, -const
+        rest = {k: -v for k, v in coeffs.items() if k != var}
+    return var, a, rest, const
+
+
+def _eliminate(coeffs: LinForm, const: int, var, a: int, rest: LinForm,
+               k: int) -> tuple[LinForm, int]:
+    """Eliminate ``var`` from the row ``coeffs + const`` (which has it)
+    with the equation ``a*var + rest + k = 0``: ``a·row − c·equation``,
+    where ``c`` is the row's coefficient of ``var``."""
+    c = coeffs[var]
+    if a == 1:
+        out = dict(coeffs)
+        del out[var]
+    else:
+        out = {x: v * a for x, v in coeffs.items() if x != var}
+        const *= a
+    for x, v in rest.items():
+        nv = out.get(x, 0) - c * v
+        if nv:
+            out[x] = nv
+        else:
+            del out[x]
+    return out, const - c * k
+
+
+def _apply_chain(subs, coeffs: LinForm, const: int, prem):
+    """Substitute a chain into one constraint (``coeffs`` is not
+    mutated)."""
+    for var, a, rest, k, sub_prem in subs:
+        if var in coeffs:
+            coeffs, const = _eliminate(coeffs, const, var, a, rest, k)
+            prem = prem | sub_prem
+    return coeffs, const, prem
 
 
 _MISS = object()
@@ -116,17 +174,7 @@ class _Presolved:
 
     def apply(self, constraint):
         coeffs, const, prem = constraint
-        coeffs = dict(coeffs)
-        prem = frozenset(prem)
-        for var, sub_coeffs, sub_const, sub_prem in self.subs:
-            c = coeffs.get(var)
-            if not c:
-                continue
-            del coeffs[var]
-            coeffs = lin_add(coeffs, lin_scale(sub_coeffs, c))
-            const = const + c * sub_const
-            prem = prem | sub_prem
-        return (coeffs, const, prem)
+        return _apply_chain(self.subs, coeffs, const, frozenset(prem))
 
 
 class _TrailContext:
@@ -145,8 +193,7 @@ class _TrailContext:
         self.conflict = conflict
 
     def _apply(self, constraint):
-        c = self.lia._apply_subs(
-            (dict(constraint[0]), constraint[1], frozenset(constraint[2])))
+        c = self.lia._apply_subs(constraint)
         if self.pre is not None:
             c = self.pre.apply(c)
         return c
@@ -159,13 +206,12 @@ class _TrailContext:
         core = self.lia._fm(self.rows)
         return set(core) if core is not None else None
 
-    def entails_eq(self, coeffs: LinForm, const: Fraction) -> set | None:
+    def entails_eq(self, coeffs: LinForm, const: int) -> set | None:
         """Premises entailing ``sum coeffs + const = 0``, or None."""
         if self.conflict is not None:
             return set(self.conflict)
         lo = self._apply((coeffs, const + 1, frozenset()))
-        hi = self._apply((lin_scale(coeffs, Fraction(-1)), -const + 1,
-                          frozenset()))
+        hi = self._apply((_neg(coeffs), -const + 1, frozenset()))
         core_lo = self.lia._fm_with(self.rows, lo)
         if core_lo is None:
             return None
@@ -178,8 +224,7 @@ class _TrailContext:
         """First trail disequality refuted on both sides, as a conflict."""
         for dcoeffs, dconst, dprem in self.lia._dis:
             lo = self._apply((dcoeffs, dconst + 1, frozenset()))
-            hi = self._apply((lin_scale(dcoeffs, Fraction(-1)),
-                              -dconst + 1, frozenset()))
+            hi = self._apply((_neg(dcoeffs), -dconst + 1, frozenset()))
             core_lo = self.lia._fm_with(self.rows, lo)
             if core_lo is None:
                 continue
@@ -229,11 +274,12 @@ class LiaSolver:
             del self._dis[dis_len:]
             self._conflict = conflict
 
-    def push(self, kind: str, coeffs: LinForm, const: Fraction,
+    def push(self, kind: str, coeffs: LinForm, const: int,
              prem: frozenset) -> set | None:
         """Assert one fact (kind ``"eq"``, ``"le"`` or ``"ne"``); returns
         a conflict premise set or None.  A conflicting fact stays on the
-        trail (carrying the conflict) until popped."""
+        trail (carrying the conflict) until popped.  The solver never
+        mutates ``coeffs``."""
         snap = [len(self._subs), self._rows, len(self._dis),
                 self._conflict, []]
         self._snaps.append(snap)
@@ -242,9 +288,9 @@ class LiaSolver:
             return set(self._conflict)
         prem = frozenset(prem)
         if kind == "ne":
-            self._dis.append((dict(coeffs), const, prem))
+            self._dis.append((coeffs, const, prem))
             return None
-        coeffs, const, prem = self._apply_subs((dict(coeffs), const, prem))
+        coeffs, const, prem = self._apply_subs((coeffs, const, prem))
         if kind == "eq":
             return self._push_eq(coeffs, const, prem)
         return self._push_ineq(coeffs, const, prem, snap)
@@ -255,7 +301,7 @@ class LiaSolver:
         if self._conflict is not None:
             return _TrailContext(self, None, None, self._conflict)
         if extra_eqs:
-            applied = [self._apply_subs((dict(c), k, frozenset(p)))
+            applied = [self._apply_subs((c, k, frozenset(p)))
                        for c, k, p in extra_eqs]
             pre = self._presolve(applied, self._rows)
             if pre.conflict is not None:
@@ -267,16 +313,7 @@ class LiaSolver:
     # ------------------------------------------------------------------
 
     def _apply_subs(self, constraint):
-        coeffs, const, prem = constraint
-        for var, sub_coeffs, sub_const, sub_prem in self._subs:
-            c = coeffs.get(var)
-            if not c:
-                continue
-            del coeffs[var]
-            coeffs = lin_add(coeffs, lin_scale(sub_coeffs, c))
-            const = const + c * sub_const
-            prem = prem | sub_prem
-        return coeffs, const, prem
+        return _apply_chain(self._subs, *constraint)
 
     def _fail(self, prem) -> set:
         self._conflict = frozenset(prem)
@@ -285,43 +322,27 @@ class LiaSolver:
     def _push_eq(self, coeffs, const, prem) -> set | None:
         if not coeffs:
             return self._fail(prem) if const != 0 else None
-        denom = 1
-        for v in list(coeffs.values()) + [const]:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        int_coeffs = {k: int(v * denom) for k, v in coeffs.items()}
-        int_const = int(const * denom)
-        g = 0
-        for v in int_coeffs.values():
-            g = gcd(g, abs(v))
-        if g and int_const % g != 0:
+        entry = _pivot_entry(coeffs, const)
+        if entry is None:
             return self._fail(prem)
-        var = self._lossless_pivot(int_coeffs, int_const)
-        if var is None:
-            var = next(iter(coeffs))
-        cv = coeffs[var]
-        rest = {k: v for k, v in coeffs.items() if k != var}
-        sub_coeffs = lin_scale(rest, Fraction(-1) / cv)
-        sub_const = -const / cv
+        var, a, rest, k = entry
         if not rest:
-            # the equation fixes var: check against the known bounds
+            # the equation fixes var (a == 1 after the gcd division):
+            # check against the known bounds
+            value = -k
             lo, lop, hi, hip = self._bounds.get(var, (None,) * 4)
-            if lo is not None and sub_const < lo:
+            if lo is not None and value < lo:
                 return self._fail(prem | lop)
-            if hi is not None and sub_const > hi:
+            if hi is not None and value > hi:
                 return self._fail(prem | hip)
-        self._subs.append((var, sub_coeffs, sub_const,
+        self._subs.append((var, a, rest, k,
                            frozenset() if PR3_PIVOT_BUG else prem))
         rows = []
         for rc, rk, rp in self._rows:
-            c = rc.get(var)
-            if not c:
+            if var not in rc:
                 rows.append((rc, rk, rp))
                 continue
-            nc = dict(rc)
-            del nc[var]
-            nc = lin_add(nc, lin_scale(sub_coeffs, c))
-            nk = rk + c * sub_const
-            nc, nk = _tighten(nc, nk)
+            nc, nk = _tighten(*_eliminate(rc, rk, var, a, rest, k))
             np_ = rp if PR3_PIVOT_BUG else rp | prem
             if not nc:
                 if nk > 0:
@@ -358,16 +379,16 @@ class LiaSolver:
         return None
 
     @staticmethod
-    def _lossless_pivot(int_coeffs: dict, int_const: int):
+    def _lossless_pivot(coeffs: dict, const: int):
         """Smallest pivot whose coefficient divides every other
         coefficient and the constant (integer-lossless elimination);
-        None if there is no such pivot."""
+        None if there is no such pivot.  Scaling the equation does not
+        change the choice."""
         if PR3_PIVOT_BUG:
-            return next(iter(int_coeffs))
-        for k in sorted(int_coeffs, key=lambda k: (abs(int_coeffs[k]), k)):
-            a = abs(int_coeffs[k])
-            if all(c % a == 0 for c in int_coeffs.values()) and \
-                    int_const % a == 0:
+            return next(iter(coeffs))
+        for k in sorted(coeffs, key=lambda k: (abs(coeffs[k]), k)):
+            a = abs(coeffs[k])
+            if const % a == 0 and all(c % a == 0 for c in coeffs.values()):
                 return k
         return None
 
@@ -383,9 +404,8 @@ class LiaSolver:
         if core is not None:
             return set(core)
         for dcoeffs, dconst, dprem in diseqs:
-            lo = pre.apply((dict(dcoeffs), dconst + 1, frozenset()))
-            hi = pre.apply((lin_scale(dcoeffs, Fraction(-1)),
-                            -dconst + 1, frozenset()))
+            lo = pre.apply((dcoeffs, dconst + 1, frozenset()))
+            hi = pre.apply((_neg(dcoeffs), -dconst + 1, frozenset()))
             core_lo = self._fm_with(pre.reduced, lo)
             if core_lo is None:
                 continue
@@ -396,7 +416,7 @@ class LiaSolver:
         return None
 
     def entails_eq(self, eqs: list[Constraint], ineqs: list[Constraint],
-                   coeffs: LinForm, const: Fraction) -> set | None:
+                   coeffs: LinForm, const: int) -> set | None:
         """Does the system entail ``sum coeffs + const = 0``?
 
         Returns the premise set of the entailment, or None.
@@ -404,9 +424,8 @@ class LiaSolver:
         pre = self._presolve(eqs, ineqs)
         if pre.conflict is not None:
             return set(pre.conflict)
-        lo = pre.apply((dict(coeffs), const + 1, frozenset()))
-        hi = pre.apply((lin_scale(coeffs, Fraction(-1)), -const + 1,
-                        frozenset()))
+        lo = pre.apply((coeffs, const + 1, frozenset()))
+        hi = pre.apply((_neg(coeffs), -const + 1, frozenset()))
         core_lo = self._fm_with(pre.reduced, lo)
         if core_lo is None:
             return None
@@ -443,26 +462,15 @@ class LiaSolver:
         return result
 
     def _presolve_raw(self, eqs, ineqs) -> "_Presolved":
-        work_eqs = [(dict(c), k, frozenset(p)) for c, k, p in eqs]
-        work_ineqs = [(dict(c), k, frozenset(p)) for c, k, p in ineqs]
-        subs: list[tuple] = []  # (var, sub_coeffs, sub_const, prem)
+        work_eqs = [(c, k, frozenset(p)) for c, k, p in eqs]
+        work_ineqs = [(c, k, frozenset(p)) for c, k, p in ineqs]
+        subs: list[tuple] = []  # (var, a, rest, k, prem)
         while work_eqs:
             coeffs, const, prem = work_eqs.pop()
             if not coeffs:
                 if const != 0:
                     return _Presolved(conflict=frozenset(prem))
                 continue
-            # integer gcd test (all our source coefficients are integers)
-            denom = 1
-            for v in list(coeffs.values()) + [const]:
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-            int_coeffs = {k: int(v * denom) for k, v in coeffs.items()}
-            int_const = int(const * denom)
-            g = 0
-            for v in int_coeffs.values():
-                g = gcd(g, abs(v))
-            if g and int_const % g != 0:
-                return _Presolved(conflict=frozenset(prem))
             # Solve for some variable and substitute everywhere.  The
             # pivot must be chosen with care: eliminating ``x`` from
             # ``2x + y = 0`` substitutes ``x = -y/2`` and *forgets* that
@@ -473,36 +481,26 @@ class LiaSolver:
             # divides every other coefficient and the constant is
             # integer-lossless (the pivot's value is an integer for any
             # integer assignment of the rest); prefer the smallest such.
-            var = self._lossless_pivot(int_coeffs, int_const)
-            if var is None:
-                # no lossless pivot (e.g. 2x + 3y + 1 = 0): fall back to
-                # the rational-complete elimination, as before
-                var = next(iter(coeffs))
-            cv = coeffs[var]
-            rest = {k: v for k, v in coeffs.items() if k != var}
-            sub_coeffs = lin_scale(rest, Fraction(-1) / cv)
-            sub_const = -const / cv
+            entry = _pivot_entry(coeffs, const)
+            if entry is None:
+                return _Presolved(conflict=frozenset(prem))
+            var, a, rest, k = entry
+            sub_prem = frozenset() if PR3_PIVOT_BUG else prem
 
             def subst(target):
                 tcoeffs, tconst, tprem = target
-                c = tcoeffs.get(var)
-                if not c:
+                if var not in tcoeffs:
                     return target
-                ncoeffs = dict(tcoeffs)
-                del ncoeffs[var]
-                ncoeffs = lin_add(ncoeffs, lin_scale(sub_coeffs, c))
-                nconst = tconst + c * sub_const
-                return (ncoeffs, nconst,
-                        tprem if PR3_PIVOT_BUG else tprem | prem)
+                ncoeffs, nconst = _eliminate(tcoeffs, tconst, var, a, rest, k)
+                return ncoeffs, nconst, tprem | sub_prem
 
             work_eqs = [subst(e) for e in work_eqs]
             work_ineqs = [subst(i) for i in work_ineqs]
-            subs.append((var, sub_coeffs, sub_const,
-                         frozenset() if PR3_PIVOT_BUG else frozenset(prem)))
+            subs.append((var, a, rest, k, sub_prem))
         # --- integer tightening ----------------------------------------
         tight: list[tuple] = []
         for coeffs, const, prem in work_ineqs:
-            coeffs, const = _tighten(coeffs, Fraction(const))
+            coeffs, const = _tighten(coeffs, const)
             if not coeffs:
                 if const > 0:
                     return _Presolved(conflict=frozenset(prem))
@@ -512,7 +510,7 @@ class LiaSolver:
 
     def _fm_with(self, reduced, extra) -> frozenset | None:
         coeffs, const, prem = extra
-        coeffs, const = _tighten(dict(coeffs), Fraction(const))
+        coeffs, const = _tighten(coeffs, const)
         if not coeffs:
             return frozenset(prem) if const > 0 else None
         return self._fm(tuple(reduced) + ((coeffs, const, frozenset(prem)),))
@@ -546,7 +544,7 @@ class LiaSolver:
             var = min(vars_here, key=lambda k: vars_here[k][0] * vars_here[k][1])
             pos_cs, neg_cs, rest = [], [], []
             for c in current:
-                v = c[0].get(var, Fraction(0))
+                v = c[0].get(var, 0)
                 if v > 0:
                     pos_cs.append(c)
                 elif v < 0:
@@ -559,10 +557,8 @@ class LiaSolver:
                     a = pc[var]
                     b = -nc[var]
                     # b*(pos) + a*(neg):  var cancels
-                    coeffs = lin_add(lin_scale(pc, b), lin_scale(nc, a))
-                    coeffs.pop(var, None)
-                    const = b * pk + a * nk
-                    coeffs, const = _tighten(coeffs, const)
+                    coeffs, const = _tighten(lin_comb(pc, b, nc, a),
+                                             b * pk + a * nk)
                     prem = pp | np_
                     if not coeffs:
                         if const > 0:

@@ -23,6 +23,12 @@ def test_short_campaign_is_clean(tmp_path):
     for oracle, _ in ROTATION:
         assert result.executed.get(oracle, 0) >= 1, oracle
     assert not list(tmp_path.iterdir())  # clean campaign writes nothing
+    # one wall per iteration, named by its heavyweight oracle
+    assert [o for o, _ in result.iteration_walls] == \
+        [ROTATION[i % len(ROTATION)][0] for i in range(8)]
+    i, oracle, seconds = result.slowest()
+    assert result.iteration_walls[i] == (oracle, seconds)
+    assert seconds == max(w for _, w in result.iteration_walls)
 
 
 def test_focused_campaign_runs_only_the_named_oracle(tmp_path):
@@ -30,6 +36,8 @@ def test_focused_campaign_runs_only_the_named_oracle(tmp_path):
                           jobs_every=0, only="theory_justifications")
     assert result.ok, (result.disagreements, result.certificate_failures)
     assert result.executed == {"theory_justifications": 3}
+    assert [o for o, _ in result.iteration_walls] == \
+        ["theory_justifications"] * 3
     assert not list(tmp_path.iterdir())
     try:
         run_campaign(seed=0, iterations=1, only="no-such-oracle")

@@ -5,7 +5,6 @@ snapshot restoration under pops."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -13,7 +12,7 @@ from repro.smt.theories.lia import LiaSolver
 
 
 def F(coeffs, const):
-    return ({k: Fraction(v) for k, v in coeffs.items()}, Fraction(const))
+    return dict(coeffs), const
 
 
 def prem(i):
@@ -49,7 +48,7 @@ def random_facts(rng: random.Random, n: int):
     facts = []
     for _ in range(n):
         nvars = rng.randint(1, 2)
-        coeffs = {v: rng.choice([-2, -1, 1, 2])
+        coeffs = {v: rng.choice([-2, -1, 1, 2, 3])
                   for v in rng.sample(names, nvars)}
         const = rng.randint(-4, 4)
         kind = rng.choice(["eq", "le", "le", "ne"])
@@ -70,6 +69,30 @@ class TestTrailMatchesStateless:
         if incremental is not None:
             # the core names pushed facts only
             assert incremental <= {("lit", i) for i in range(len(facts))}
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: a lossy pivot (no coefficient divides the others) "
+        "eliminates rationally and forgets that its variable is an "
+        "integer, so the trail (push order) and the stateless check (last "
+        "equation first) can disagree on integer infeasibility; no "
+        "benchmark workload takes a lossy pivot"))
+    @pytest.mark.parametrize("facts", [
+        # the trail's gcd test refutes -2y + 2z + 1 = 0 when it is
+        # pushed; the stateless check first eliminates z through
+        # -2z + 3y - 4 = 0, which leaves the satisfiable 2y - 6 = 0
+        [("ne", {"y": -2}, 3), ("le", {"y": -2}, -2),
+         ("ne", {"y": 3, "x": -1}, -3), ("eq", {"y": -2, "z": 2}, 1),
+         ("ne", {"z": -2, "y": -1}, 2), ("eq", {"z": -2, "y": 3}, -4)],
+        # the other way round: z = 3 makes 2y + 3z = 0 infeasible, but
+        # the trail has already eliminated y through it
+        [("eq", {"y": 2, "z": 3}, 0), ("le", {"x": -2, "y": 2}, 4),
+         ("eq", {"z": -1}, 3)],
+    ])
+    def test_lossy_pivot_verdict_is_order_independent(self, facts):
+        lia = LiaSolver()
+        push_all(lia, facts)
+        assert (trail_verdict(lia) is None) == \
+            (stateless_verdict(facts) is None)
 
     def test_push_conflict_implies_stateless_conflict(self):
         # a conflict reported at push time must be a real infeasibility

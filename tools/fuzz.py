@@ -60,6 +60,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"campaign seed={result.seed} iterations={result.iterations}")
     for oracle in sorted(result.executed):
         print(f"  {oracle}: {result.executed[oracle]} runs")
+    slowest = result.slowest()
+    if slowest is not None:
+        i, oracle, seconds = slowest
+        print(f"slowest iteration: {i} ({oracle}), {seconds:.1f} s")
     for case in result.disagreements:
         print(f"DISAGREEMENT [{case.oracle}] iteration {case.iteration}: "
               f"{case.detail}" +
