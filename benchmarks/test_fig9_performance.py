@@ -17,6 +17,7 @@ from _util import SCALE, TIMEOUT, emit
 from repro.bench import LARGE_SUITE_RECIPES, fig9_table, make_suite, run_suite
 from repro.bench.runner import compile_suite
 from repro.core import A1, A2, CONC
+from repro.core.deadfail import clear_baseline_cache
 
 
 def test_fig9_per_procedure_averages(benchmark):
@@ -27,6 +28,10 @@ def test_fig9_per_procedure_averages(benchmark):
             program = compile_suite(suite)
             cells = {}
             for config in (CONC, A1, A2):
+                # T is the cost of analyzing under one abstraction: do
+                # not serve A1 or A2 from an earlier configuration's
+                # memo entries
+                clear_baseline_cache()
                 r = run_suite(suite, config, timeout=TIMEOUT,
                               program=program)
                 cells[config.name] = (r.avg_preds, r.avg_clauses,

@@ -8,12 +8,13 @@ Boogie would report for these procedures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 
 from ..lang.ast import Procedure, Program
 from ..lang.transform import prepare_procedure
-from ..vc.encode import EncodedProcedure
-from .deadfail import Budget, DeadFailOracle
+from ..vc.encode import EncodedProcedure, procedure_fingerprint
+from .deadfail import Budget, DeadFailOracle, memo_get, memo_key, memo_store
 
 
 @dataclass
@@ -44,19 +45,48 @@ def check_procedure(program: Program, proc: Procedure | str,
     hashed it for the analysis cache pass it back to skip re-lowering).
     ``self_check`` makes every solver answer certificate-checked
     (:class:`repro.smt.api.CertificateError` on rejection).
+    Without ``self_check``, ``Fail(true)`` of a prepared procedure found
+    earlier in this process, by a Cons run or by any completed unchecked
+    analysis under the same solver settings, is answered from the memo
+    (`repro.core.deadfail`) without encoding or solving.
     """
     if isinstance(proc, str):
         proc = program.proc(proc)
     if prepared is None:
         prepared = prepare_procedure(program, proc,
                                      unroll_depth=unroll_depth)
+    if not self_check:
+        recorded = memo_get(memo_key(
+            "cons", procedure_fingerprint(program, prepared), self_check))
+        if recorded is not None:
+            return _detached(recorded, proc.name)
     enc = EncodedProcedure(program, prepared, lia_budget=lia_budget,
                            self_check=self_check)
     oracle = DeadFailOracle(enc, [], budget=budget)
-    fails = oracle.conservative_fail()
-    return CheckResult(proc_name=proc.name,
-                       warnings=oracle.labels_of(fails),
-                       n_asserts=len(enc.assert_events),
-                       enc_summary=enc.summary(),
-                       live_locs=oracle.live_locs,
-                       fail_aids=fails)
+    return conservative_result(proc.name, oracle, oracle.conservative_fail())
+
+
+def conservative_result(proc_name: str, oracle: DeadFailOracle,
+                        fails: frozenset) -> CheckResult:
+    """The Cons result for ``fails``, the ``Fail(true)`` that ``oracle``
+    found.  Unless the run was self-checked, a copy goes into the memo
+    for every later Cons run on the same prepared procedure under the
+    same solver settings."""
+    enc = oracle.enc
+    result = CheckResult(proc_name=proc_name,
+                         warnings=oracle.labels_of(fails),
+                         n_asserts=len(enc.assert_events),
+                         enc_summary=enc.summary(),
+                         live_locs=oracle.live_locs,
+                         fail_aids=fails)
+    if not enc.self_check:
+        memo_store(memo_key("cons", enc.fingerprint(), enc.self_check),
+                   _detached(result, proc_name))
+    return result
+
+
+def _detached(res: CheckResult, proc_name: str) -> CheckResult:
+    """A copy of ``res`` under ``proc_name`` that shares no list or dict
+    with it, so no caller can mutate a memo entry."""
+    return replace(res, proc_name=proc_name, warnings=list(res.warnings),
+                   enc_summary=copy.deepcopy(res.enc_summary))

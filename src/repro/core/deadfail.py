@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 
 from ..lang.ast import Formula, TRUE
+from ..smt.tuning import TUNING
 from ..vc.encode import EncodedProcedure
 from .clauses import ClauseSet, QClause, clause_formula
 
@@ -90,22 +91,45 @@ class Budget:
 # ``instrument``, so the cached id sets transfer between encodings).
 # The persistent cache (`repro.core.cache`) pre-seeds this memo from
 # disk via :func:`seed_baselines`.
+#
+# The same store holds two more kinds: ``analysis``, a completed
+# Algorithm 1 result keyed additionally by the mined vocabulary Q (in
+# order: clause literals index into it) and ``prune_k``, and ``cons``,
+# the conservative verifier's result.  Def. 3 makes an abstract SIB a
+# function of the prepared procedure and Q alone, so the configuration
+# that derived them is not part of the key (`repro.core.sib`,
+# `repro.core.checker`).  Every key carries the solver settings, so a
+# self-checked request is never answered from an unchecked run.  The
+# ``analysis`` and ``cons`` kinds hold unchecked runs only: a
+# self-checked run always solves, so that the certificates it reports
+# are those of its own answers.
 # ----------------------------------------------------------------------
 
-_BASELINE_CACHE: dict[tuple, frozenset] = {}
+_BASELINE_CACHE: dict[tuple, object] = {}
 _BASELINE_CACHE_CAP = 4096
 
 
-def _baseline_key(enc: EncodedProcedure, dead_through_failures: bool,
-                  kind: str) -> tuple:
-    return (kind, dead_through_failures, enc.fingerprint())
+def memo_key(kind: str, fingerprint: str, self_check: bool,
+             dead_through_failures: bool = True, *rest) -> tuple:
+    """The key of one memo entry: its kind, the prepared procedure's
+    :func:`repro.vc.encode.procedure_fingerprint`, the solver settings
+    (``self_check`` and a snapshot of `repro.smt.tuning.TUNING`), the
+    Dead() semantics and any further inputs of the kind."""
+    return (kind, fingerprint, self_check, tuple(vars(TUNING).values()),
+            dead_through_failures, *rest)
 
 
 def clear_baseline_cache() -> None:
+    """Empty the memo, every kind."""
     _BASELINE_CACHE.clear()
 
 
-def _baseline_store(key: tuple, value: frozenset) -> None:
+def memo_get(key: tuple):
+    """The entry under ``key``, or ``None``."""
+    return _BASELINE_CACHE.get(key)
+
+
+def memo_store(key: tuple, value) -> None:
     if len(_BASELINE_CACHE) >= _BASELINE_CACHE_CAP:
         _BASELINE_CACHE.clear()
     _BASELINE_CACHE[key] = value
@@ -116,17 +140,14 @@ def seed_baselines(fingerprint: str, dead_through_failures: bool,
     """Prime the process-wide baseline memo from a persistent cache
     record (see `repro.core.cache`): ``fingerprint`` is the
     :func:`repro.vc.encode.procedure_fingerprint` of the prepared
-    procedure the sets were computed for.  Existing in-process entries
-    win (they were computed, not deserialized); unknown values pass
-    ``None``."""
-    if live_locs is not None:
-        key = ("live", dead_through_failures, fingerprint)
-        if key not in _BASELINE_CACHE:
-            _baseline_store(key, frozenset(live_locs))
-    if fail_true is not None:
-        key = ("fail_true", dead_through_failures, fingerprint)
-        if key not in _BASELINE_CACHE:
-            _baseline_store(key, frozenset(fail_true))
+    procedure the sets were computed for.  A record does not say whether
+    its run was certificate-checked, so only the unchecked key is
+    seeded.  Existing in-process entries win (they were computed, not
+    deserialized); unknown values pass ``None``."""
+    for kind, value in (("live", live_locs), ("fail_true", fail_true)):
+        key = memo_key(kind, fingerprint, False, dead_through_failures)
+        if value is not None and key not in _BASELINE_CACHE:
+            memo_store(key, frozenset(value))
 
 
 class DeadFailOracle:
@@ -153,15 +174,16 @@ class DeadFailOracle:
         self.queries_saved = 0
         # §2.3: remove Dead(true) from the location set up front (memoized
         # across encodings of the same prepared procedure).
-        live_key = _baseline_key(enc, dead_through_failures, "live")
-        cached_live = _BASELINE_CACHE.get(live_key)
+        live_key = memo_key("live", enc.fingerprint(), enc.self_check,
+                            dead_through_failures)
+        cached_live = memo_get(live_key)
         if cached_live is not None:
             self.cache_hits += 1
             self.queries_saved += len(enc.loc_events)
             self._live_locs = cached_live
         else:
             self._live_locs = self._live_under_true()
-            _baseline_store(live_key, self._live_locs)
+            memo_store(live_key, self._live_locs)
         self.baseline_dead = frozenset(
             ev.loc_id for ev in enc.loc_events
             if ev.loc_id not in self._live_locs)
@@ -510,15 +532,15 @@ class DeadFailOracle:
         through the clause-set cache)."""
         empty: ClauseSet = frozenset()
         if empty not in self._fail_cache:
-            key = _baseline_key(self.enc, self.dead_through_failures,
-                                "fail_true")
-            cached = _BASELINE_CACHE.get(key)
+            key = memo_key("fail_true", self.enc.fingerprint(),
+                           self.enc.self_check, self.dead_through_failures)
+            cached = memo_get(key)
             if cached is not None:
                 self.cache_hits += 1
                 self.queries_saved += len(self.enc.assert_events)
                 self._fail_cache[empty] = cached
             else:
-                _baseline_store(key, self.fail_set(empty))
+                memo_store(key, self.fail_set(empty))
         return self.fail_set(empty)
 
     def labels_of(self, aids: frozenset) -> list[str]:

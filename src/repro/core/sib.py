@@ -6,8 +6,10 @@ runs the whole pipeline of the paper:
 1. lower the procedure (call elaboration under the configuration's
    havoc-returns knob, loop unrolling, return elimination,
    instrumentation);
-2. build the incremental path encoding and the Dead/Fail oracle;
-3. mine the predicate vocabulary Q (ignore-conditionals knob);
+2. mine the predicate vocabulary Q (ignore-conditionals knob); a
+   (prepared procedure, Q) pair analyzed before in this process is
+   answered from the memo here;
+3. build the incremental path encoding and the Dead/Fail oracle;
 4. compute the predicate cover ``β_Q(wp(pr, true))``;
 5. classify: abstract SIB if the cover creates dead code, else MAYBUG
    (low confidence);
@@ -17,18 +19,20 @@ runs the whole pipeline of the paper:
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..lang.ast import Formula, Procedure, Program
 from ..lang.pretty import pp_formula
 from ..lang.transform import prepare_procedure
-from ..vc.encode import EncodedProcedure
+from ..vc.encode import EncodedProcedure, procedure_fingerprint
 from .acspec import AcspecResult, find_almost_correct_specs
+from .checker import conservative_result
 from .clauses import clause_set_formula
 from .config import AbstractionConfig, CONC
 from .cover import predicate_cover
-from .deadfail import Budget, DeadFailOracle
+from .deadfail import Budget, DeadFailOracle, memo_get, memo_key, memo_store
 from .predicates import mine_predicates
 
 
@@ -99,6 +103,14 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
     ``self_check`` certificate-checks every solver answer
     (:class:`repro.smt.api.CertificateError` on rejection).
     Budget exhaustion raises :class:`repro.core.deadfail.AnalysisTimeout`.
+
+    The result is a function of the prepared procedure, Q, ``prune_k``
+    and the solver settings (Def. 3), so a completed unchecked run is
+    memoized under them (`repro.core.deadfail`).  A memo hit returns the
+    recorded verdict under this call's procedure and configuration, and
+    reports no solver work: its query counters and ``solver_stats`` read
+    0.  A self-checked run always solves, so that its ``certificates``
+    are those of its own answers.
     """
     if isinstance(proc, str):
         proc = program.proc(proc)
@@ -116,19 +128,33 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
                                      havoc_returns=config.havoc_returns,
                                      unroll_depth=unroll_depth)
     mark("lower")
-    enc = EncodedProcedure(program, prepared, lia_budget=lia_budget,
-                           self_check=self_check)
-    mark("encode")
     preds = mine_predicates(program, prepared,
                             ignore_conditionals=config.ignore_conditionals,
                             max_preds=max_preds)
     mark("mine")
+    key = None
+    if not self_check:
+        # the oracle below keeps the default Dead() semantics
+        key = memo_key("analysis", procedure_fingerprint(program, prepared),
+                       self_check, True, prune_k, tuple(preds))
+        recorded = memo_get(key)
+        if recorded is not None:
+            return _detached(recorded, proc_name=proc.name, config=config,
+                             queries=0, cache_hits=0, queries_saved=0,
+                             oracle_stats=_zeroed(recorded.oracle_stats),
+                             solver_stats=_zeroed(recorded.solver_stats),
+                             timings=timings)
+    enc = EncodedProcedure(program, prepared, lia_budget=lia_budget,
+                           self_check=self_check)
+    mark("encode")
     oracle = DeadFailOracle(enc, preds, budget=budget)
     conservative = oracle.conservative_fail()
     mark("baseline")
     result = SibResult(proc_name=proc.name, config=config,
                        status=SibStatus.CORRECT, preds=list(preds))
     result.conservative_warnings = oracle.labels_of(conservative)
+    # a display cleanup cut short (e.g. by the budget) is not recorded
+    complete = True
 
     def finish() -> SibResult:
         result.queries = oracle.queries
@@ -141,6 +167,9 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
         result.dead_through_failures = oracle.dead_through_failures
         result.baseline_live = oracle.live_locs
         result.baseline_fail_true = conservative
+        if complete and key is not None:
+            memo_store(key, _detached(result))
+        conservative_result(proc.name, oracle, conservative)
         return result
 
     if not conservative:
@@ -164,7 +193,7 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
         try:
             spec = oracle.simplify_clauses(spec)
         except Exception:
-            pass  # display aid only — never fail the analysis over it
+            complete = False  # display aid only — never fail the analysis
         fm = clause_set_formula(spec, preds)
         formulas.append(fm)
         display.append(pp_formula(fm))
@@ -172,3 +201,26 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
     result.spec_formulas = formulas
     mark("post")
     return finish()
+
+
+def _zeroed(stats: dict) -> dict:
+    """``stats`` with every counter, nested ones too, set to 0."""
+    return {k: _zeroed(v) if isinstance(v, dict) else type(v)()
+            for k, v in stats.items()}
+
+
+#: How to copy each list or dict field of a :class:`SibResult`; formulas,
+#: frozensets and the configuration are immutable and stay shared.
+_COPIES = {"preds": list, "conservative_warnings": list, "warnings": list,
+           "specs": list, "spec_formulas": list, "solver_stats": dict,
+           "timings": dict, "oracle_stats": copy.deepcopy,
+           "enc_summary": copy.deepcopy}
+
+
+def _detached(res: SibResult, **changes) -> SibResult:
+    """A copy of ``res`` with ``changes`` that shares no list or dict with
+    it, so no caller can mutate a memo entry."""
+    for name, copy_of in _COPIES.items():
+        if name not in changes:
+            changes[name] = copy_of(getattr(res, name))
+    return replace(res, **changes)

@@ -20,7 +20,7 @@ procedure good(x: int) returns (r: int)
 procedure boom(x: int) returns (r: int)
   ensures r >= x;
 {
-  r := x + 1;
+  r := x + 2;
 }
 """
 

@@ -10,7 +10,6 @@ import pytest
 
 from repro.bench import compile_suite, make_suite
 from repro.core import CONC, analyze_program
-from repro.core.deadfail import clear_baseline_cache
 from repro.serve import ServeClient, ServerThread
 
 # wall-clock / machine-local fields excluded from the equality check
@@ -41,12 +40,6 @@ def suite():
 def test_served_selfcheck_matches_batch_and_trusts_nothing(tmp_path, suite):
     names = [f.name for f in suite.functions]
     program = compile_suite(suite)
-    # The certificate-count comparison below assumes the batch side does
-    # the same solver work as the daemon's freshly-spawned workers, so
-    # drop any baseline memo earlier in-process tests warmed (fingerprints
-    # are name-independent: another suite's name-twin filler procedure
-    # seeds this suite's baselines).
-    clear_baseline_cache()
     batch = analyze_program(program, config=CONC, proc_names=names,
                             self_check=True)
 

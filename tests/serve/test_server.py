@@ -108,14 +108,17 @@ class TestVerbs:
         assert client.status(acc["id"])["state"] == "done"
 
     def test_result_nowait_pending(self, client, server):
-        # Hold the pool so the request cannot finish before we peek.
-        blocker = server.server.pool.submit(
-            AnalysisTask(kind="sleep", payload=0.4))
+        # Hold every worker so the request cannot finish before we peek
+        # (a worker that analyzed FIG1 before would answer at once).
+        pool = server.server.pool
+        blockers = [pool.submit(AnalysisTask(kind="sleep", payload=0.4))
+                    for _ in range(pool.size)]
         acc = client.submit(FIG1_BPL)
         with pytest.raises(ServeError) as exc:
             client.result(acc["id"], wait=False)
         assert exc.value.code == "pending"
-        blocker.result(timeout=30)
+        for blocker in blockers:
+            blocker.result(timeout=30)
         assert client.result(acc["id"])["report"] is not None
 
     def test_metrics(self, client):

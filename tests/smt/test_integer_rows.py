@@ -17,7 +17,6 @@ import pytest
 import repro.smt.dpllt as dpllt
 from repro.bench import compile_suite, make_suite
 from repro.core import A2, analyze_program
-from repro.core.deadfail import clear_baseline_cache
 from repro.smt import Solver, TermFactory
 from repro.smt.theories.lia import LiaSolver
 
@@ -85,7 +84,6 @@ def watch(monkeypatch):
 
 def test_fig5_small_procedure_keeps_integer_rows(watch):
     program = compile_suite(make_suite("CWE690", scale=0.5))
-    clear_baseline_cache()  # a memo hit would answer without the solver
     report = analyze_program(program, config=A2, proc_names=["CWE690_f5"],
                              self_check=True)
     (r,) = report.reports
