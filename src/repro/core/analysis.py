@@ -156,10 +156,11 @@ def analyze_procedure(program: Program, proc_name: str,
 
     ``self_check`` runs the solver in certificate-validating mode: a
     rejected certificate raises :class:`repro.smt.api.CertificateError`
-    (it is deliberately *not* absorbed as a timeout).  Cache hits skip
-    solving entirely and are returned as-is.
+    (it is deliberately *not* absorbed as a timeout).  A self-checked
+    report carries the certificates of its own answers, so it neither
+    reads nor writes a cache record and always solves.
     """
-    cache = AnalysisCache.open(cache)
+    cache = None if self_check else AnalysisCache.open(cache)
     start = time.monotonic()
     prepared = None
     key = None

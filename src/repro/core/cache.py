@@ -64,9 +64,9 @@ from .deadfail import seed_baselines
 #: id assignment, changed semantics); old records then hash to different
 #: keys and simply stop being found — no migration, no mixed reads.
 #: v3: the content address no longer covers the procedure *name* (a
-#: renamed/moved procedure keeps its entry) and records carry a
-#: top-level ``wall`` so schedulers can read historical cost without
-#: reconstructing the report.
+#: renamed/moved procedure keeps its entry).  v3 and v4 records were
+#: written with a top-level ``wall`` that no loader reads; records no
+#: longer carry it, which needs no bump.
 #: v4: ``ProcedureReport`` gained ``bug_classes`` (per-warning-class
 #: counts derived from label prefixes); v3 records lack the field and
 #: must miss cleanly.
@@ -219,21 +219,6 @@ class AnalysisCache:
             self.invalidations += 1
             return None
 
-    def peek(self, key: str) -> dict | None:
-        """The raw on-disk record for ``key``, or ``None`` — **no side
-        effects**: no hit/miss counting, no baseline seeding, no report
-        reconstruction.  :meth:`wall_of` reads through it, so asking
-        for a record's cost does not count as a cache hit or miss."""
-        path = self._path(key)
-        try:
-            rec = json.loads(path.read_bytes())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(rec, dict) or rec.get("schema") != SCHEMA_VERSION \
-                or rec.get("kind") not in ("analysis", "cons"):
-            return None
-        return rec
-
     def _write(self, key: str, rec: dict) -> None:
         """Atomic write-then-rename, so readers (including concurrent
         ``--jobs`` workers on the same directory) never observe a
@@ -297,19 +282,6 @@ class AnalysisCache:
         self.queries_served += report.queries
         return report
 
-    def wall_of(self, key: str) -> float | None:
-        """The wall seconds the result under ``key`` originally cost to
-        *compute*, or ``None``.  Read from the record's top-level
-        ``wall`` field without reconstructing the report — the
-        incremental driver's "historically slow first" ordering
-        (`repro.core.incremental`) reads this for procedures it is
-        about to re-serve.  No hit/miss counting (like :meth:`peek`)."""
-        rec = self.peek(key)
-        if rec is None:
-            return None
-        wall = rec.get("wall")
-        return float(wall) if isinstance(wall, (int, float)) else None
-
     def store_analysis(self, key: str, report, res) -> None:
         """Persist a *completed* analysis: the report verbatim plus the
         content-addressing ingredients from the :class:`SibResult`
@@ -324,9 +296,6 @@ class AnalysisCache:
             "kind": "analysis",
             "proc": report.proc_name,
             "config": report.config_name,
-            # compute cost, surfaced without report reconstruction so
-            # re-run schedulers can order "historically slow first"
-            "wall": report.seconds,
             "encoding": res.enc_summary,
             "cover": cover_to_json(res.cover),
             "baseline": {
@@ -360,17 +329,14 @@ class AnalysisCache:
         self.hits += 1
         return warnings
 
-    def store_cons(self, key: str, result, wall: float = 0.0) -> None:
+    def store_cons(self, key: str, result) -> None:
         """Persist a completed conservative check (a
         :class:`~repro.core.checker.CheckResult` carrying its encoding
-        summary and baseline sets).  ``wall`` is the compute cost in
-        seconds, kept for the same scheduling heuristic as analysis
-        records."""
+        summary and baseline sets)."""
         self._write(key, {
             "schema": SCHEMA_VERSION,
             "kind": "cons",
             "proc": result.proc_name,
-            "wall": wall,
             "encoding": result.enc_summary,
             "baseline": {
                 "dead_through_failures": True,

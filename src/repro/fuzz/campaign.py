@@ -7,7 +7,8 @@ generates programs in the fragments the oracles need, and runs:
   is nearly free and guards the corpus format itself);
 * one heavyweight oracle from a fixed rotation
   (``interp-vs-wp`` → ``brute-vs-solver`` → ``incremental-vs-naive`` →
-  ``cache``);
+  ``cache`` → ``theory_justifications`` → ``incremental-vs-naive`` on
+  the scenario preset);
 * the ``jobs`` oracle every ``jobs_every``-th iteration (process-pool
   spawns are expensive).
 
@@ -45,8 +46,6 @@ ROTATION: list[tuple[str, GenConfig]] = [
     ("brute-vs-solver", gen.BRUTE),
     ("incremental-vs-naive", gen.SOLVER),
     ("cache", gen.SOLVER),
-    ("reduction", gen.SOLVER),
-    ("lemma-cache", gen.SOLVER),
     ("theory_justifications", gen.SOLVER),
     ("incremental-vs-naive", gen.SCENARIOS),
 ]

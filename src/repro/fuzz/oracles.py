@@ -19,9 +19,6 @@ oracle                 side A                          side B
 ``naive``              ``fail_set``/``dead_set``       recomputation
 ``cache``              uncached analysis               cache miss+store / hit
 ``jobs``               ``analyze_program(jobs=2)``     serial sweep
-``reduction``          learnt-DB reduction on          ``reduce_learnts=False``
-``lemma-cache``        theory-lemma cache + LIA        both knobs off
-                       trail on
 ``theory_``            checked theory lemmas           ``checked_theory_``
 ``justifications``     (certified + replayed)          ``lemmas=False`` (trusted)
 =====================  ==============================  =======================
@@ -54,6 +51,7 @@ from ..lang.interp import ExecStatus, Interpreter, MapValue, initial_state
 from ..lang.parser import parse_program
 from ..lang.pretty import pp_program
 from ..lang.transform import prepare_procedure
+from ..smt.tuning import tuning
 from ..vc.encode import EncodedProcedure
 from ..vc.wp import wp
 from .gen import DEFAULT_DOMAIN_BOUND
@@ -288,15 +286,17 @@ def incremental_vs_naive(program: Program, rng: random.Random,
 def cached_vs_uncached(program: Program, rng: random.Random,
                        self_check: bool = True) -> str | None:
     """``analyze_procedure`` must report the same result uncached, on a
-    cache miss (fresh solve + store) and on the subsequent hit.
+    cache miss (fresh solve + store) and on the subsequent hit.  Only
+    unchecked runs read or write records, so ``self_check`` applies to
+    the uncached run alone.
 
     No wall-clock timeout: the only budgets are deterministic work
     counters (LIA pivots, vocabulary size), so ``timed_out`` itself is a
     reproducible field and safe to compare."""
     name = _first_proc(program)
-    kwargs = dict(timeout=None, lia_budget=5000, max_preds=6,
-                  self_check=self_check)
-    uncached = _fields(analyze_procedure(program, name, **kwargs))
+    kwargs = dict(timeout=None, lia_budget=5000, max_preds=6)
+    uncached = _fields(analyze_procedure(program, name,
+                                         self_check=self_check, **kwargs))
     clear_baseline_cache()  # the miss must solve, not hit the memo
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") as tmp:
         miss = _fields(analyze_procedure(program, name, cache=tmp, **kwargs))
@@ -330,54 +330,28 @@ def jobs_vs_serial(program: Program, rng: random.Random,
 
 
 # ----------------------------------------------------------------------
-# oracles: solver tuning knobs on vs off
+# oracle: checked vs trusted theory lemmas
 # ----------------------------------------------------------------------
-
-def _tuning_differential(program: Program, overrides: dict,
-                         what: str) -> str | None:
-    """Analyze with default tuning and with ``overrides``; any semantic
-    difference in the per-procedure reports is a finding.  Self-checking
-    stays on for both sides, so a knob that breaks certificates surfaces
-    as a CertificateError finding too."""
-    from ..smt.tuning import tuning
-    kwargs = dict(timeout=None, lia_budget=5000, max_preds=6,
-                  self_check=True)
-    on = [(r.proc_name, _fields(r))
-          for r in analyze_program(program, **kwargs).reports]
-    with tuning(**overrides):
-        off = [(r.proc_name, _fields(r))
-               for r in analyze_program(program, **kwargs).reports]
-    if on != off:
-        return f"analysis changed with {what} disabled: {off} vs {on}"
-    return None
-
-
-@_skip_on_budget
-def reduction_on_vs_off(program: Program, rng: random.Random) -> str | None:
-    """Learnt-clause DB reduction must be invisible to every report."""
-    return _tuning_differential(program, {"reduce_learnts": False},
-                                "learnt-DB reduction")
-
-
-@_skip_on_budget
-def lemma_cache_on_vs_off(program: Program, rng: random.Random) -> str | None:
-    """The cross-query theory-lemma cache and the incremental LIA trail
-    must be invisible to every report."""
-    return _tuning_differential(
-        program, {"theory_lemma_cache": False, "lia_incremental": False},
-        "the theory-lemma cache and LIA trail")
-
 
 @_skip_on_budget
 def theory_justifications(program: Program,
                           rng: random.Random) -> str | None:
     """Checked theory lemmas must be invisible to every report: the run
     whose lemmas all carry checker-replayed justifications (the default)
-    must equal the trusted-lemma run.  Since the default side keeps
+    must equal the trusted-lemma run.  Since both sides keep
     self-checking on, an unjustifiable or checker-rejected lemma
     surfaces as a CertificateError finding."""
-    return _tuning_differential(program, {"checked_theory_lemmas": False},
-                                "checked theory lemmas")
+    kwargs = dict(timeout=None, lia_budget=5000, max_preds=6,
+                  self_check=True)
+    checked = [(r.proc_name, _fields(r))
+               for r in analyze_program(program, **kwargs).reports]
+    with tuning(checked_theory_lemmas=False):
+        trusted = [(r.proc_name, _fields(r))
+                   for r in analyze_program(program, **kwargs).reports]
+    if checked != trusted:
+        return ("analysis changed with checked theory lemmas disabled: "
+                f"{trusted} vs {checked}")
+    return None
 
 
 ORACLES = {
@@ -387,8 +361,6 @@ ORACLES = {
     "incremental-vs-naive": incremental_vs_naive,
     "cache": cached_vs_uncached,
     "jobs": jobs_vs_serial,
-    "reduction": reduction_on_vs_off,
-    "lemma-cache": lemma_cache_on_vs_off,
     "theory_justifications": theory_justifications,
 }
 

@@ -96,7 +96,11 @@ class ServeClient:
         if self.address[0] == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(self.connect_timeout)
-            sock.connect(self.address[1])
+            try:
+                sock.connect(self.address[1])
+            except OSError:
+                sock.close()  # as create_connection does on failure
+                raise
         else:
             _, host, port = self.address
             sock = socket.create_connection((host, port),

@@ -147,7 +147,7 @@ class Solver:
 
     def stats(self) -> dict:
         """Combined search + theory counters (SAT core counters, theory
-        timings, incrementality/lemma-cache hit counts)."""
+        timings, LIA trail and theory-lemma cache hit counts)."""
         out = self.sat.stats()
         out.update(self.theory.stats())
         return out

@@ -18,13 +18,12 @@ structures: the congruence closure keeps an op-coded undo trail (euf.py)
 and the LIA solver a pushed-fact trail (lia.py), so a pop costs O(undone
 changes) instead of a rebuild.
 
-Two cross-check performance layers ride on top (both controlled by
-:mod:`repro.smt.tuning`, both verdict-preserving):
+Two layers keep checks cheap across the queries of one sweep:
 
-* the *incremental LIA path* parses every theory atom once (a per-signed-
-  literal memo) and pushes the linear fact into the LIA trail as the lit
-  is asserted, so bound-propagation conflicts surface during the search
-  and a theory check reuses the already-eliminated trail state;
+* every theory atom is parsed once (a per-signed-literal memo) and its
+  linear fact is pushed into the LIA trail as the lit is asserted, so
+  bound-propagation conflicts surface during the search and a theory
+  check reuses the already-eliminated trail state;
 * the *theory-lemma cache* memoizes final-check verdicts by the asserted
   theory-atom literal set: once a full assignment's atom set has been
   checked consistent, later queries in the same sweep that reach the same
@@ -44,7 +43,6 @@ from .sat.tseitin import CnfBuilder
 from .terms import Op, Sort, Term, TermFactory
 from .theories.euf import EufSolver
 from .theories.lia import LiaSolver
-from .tuning import TUNING
 
 
 def linearize(t: Term) -> tuple[dict[int, int], int, dict[int, Term]]:
@@ -123,8 +121,6 @@ class TheoryCore(TheoryInterface):
         # int-equality atoms already strengthened with a trichotomy split
         self._split_done: set[int] = set()
         # --- incremental bookkeeping (per-lit watermarks) -------------
-        self._incremental = TUNING.lia_incremental
-        self._lemma_cache = TUNING.theory_lemma_cache
         self._euf_marks: list[int] = []
         self._lia_marks: list[int] = []
         self._key_added: list[list[int]] = []  # per-lit LIA key tids
@@ -196,7 +192,7 @@ class TheoryCore(TheoryInterface):
         t0 = _now()
         confl = self._assert_to_euf(lit)
         self.timings["euf"] += _now() - t0
-        if confl is not None or not self._incremental:
+        if confl is not None:
             return confl
         t0 = _now()
         confl = self._assert_to_lia(lit)
@@ -224,10 +220,7 @@ class TheoryCore(TheoryInterface):
         self.timings["euf"] += _now() - t0
 
     def check(self, final: bool) -> list[list[int]]:
-        if not self._incremental:
-            return self._check_legacy(final)
-        key = None
-        if final and self._lemma_cache:
+        if final:
             key = self._theory_key()
             if key in self._final_ok:
                 self.lemmas_replayed += 1
@@ -264,28 +257,8 @@ class TheoryCore(TheoryInterface):
                     return lemmas
         finally:
             self.timings["interface"] += _now() - t0
-        if key is not None and len(self._final_ok) < self.FINAL_MEMO_CAP:
+        if len(self._final_ok) < self.FINAL_MEMO_CAP:
             self._final_ok.add(key)
-        return []
-
-    def _check_legacy(self, final: bool) -> list[list[int]]:
-        t0 = _now()
-        lemmas = self._lia_check()
-        self.timings["lia"] += _now() - t0
-        if lemmas:
-            return lemmas
-        if final:
-            t0 = _now()
-            try:
-                splits = self._diseq_splits()
-                if splits:
-                    return splits
-                arrays = self._array_lemmas()
-                if arrays:
-                    return arrays
-                return self._propagate_interface_equalities()
-            finally:
-                self.timings["interface"] += _now() - t0
         return []
 
     def _theory_key(self) -> frozenset:
@@ -560,17 +533,6 @@ class TheoryCore(TheoryInterface):
                 eqs.append((coeffs, const, prem))
         return eqs
 
-    def _lia_check(self) -> list[list[int]]:
-        eqs, ineqs, diseqs, key_terms = self._collect_lia()
-        if not (eqs or ineqs or diseqs):
-            return []
-        eqs = eqs + self._euf_equalities_for_lia(key_terms)
-        conflict = self.lia.check(eqs, ineqs, diseqs)
-        if conflict is None:
-            return []
-        return [self._certified(self._premises_to_clause(conflict),
-                                conflict)]
-
     # ------------------------------------------------------------------
     # LIA -> EUF interface equality propagation
     # ------------------------------------------------------------------
@@ -611,35 +573,9 @@ class TheoryCore(TheoryInterface):
         self._iface_cache = (self.euf, n, tids)
         return tids
 
-    def _propagate_interface_equalities(self) -> list[list[int]]:
-        eqs, ineqs, diseqs, key_terms = self._collect_lia()
-        if not (eqs or ineqs):
-            return []
-        eqs = eqs + self._euf_equalities_for_lia(key_terms)
-        interface = self._interface_terms(key_terms)
-        lemmas: list[list[int]] = []
-        for i in range(len(interface)):
-            for j in range(i + 1, len(interface)):
-                x, y = interface[i], interface[j]
-                if self.euf.are_equal(x, y):
-                    continue
-                coeffs, const, _ = _lin_diff(x, y)
-                prem = self.lia.entails_eq(eqs, ineqs, coeffs, const)
-                if prem is None:
-                    continue
-                atom = self.factory.eq(x, y)
-                if atom is self.factory.true:
-                    continue
-                eq_lit = self.cnf.atom_var(atom)
-                clause = self._premises_to_clause(prem)
-                clause.append(eq_lit)
-                lemmas.append(self._certified(
-                    clause, set(prem) | {("lit", -eq_lit)}))
-        return lemmas
-
     def _interface_lemmas(self, ctx) -> list[list[int]]:
-        """Incremental-path variant of interface-equality propagation:
-        the composed LIA context is built once and probed per pair."""
+        """LIA -> EUF interface-equality propagation: the composed LIA
+        context is built once and probed per pair of interface terms."""
         key_terms = {tid: self._key_terms[tid] for tid in self._key_count}
         interface = self._interface_terms(key_terms)
         lemmas: list[list[int]] = []

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
-from ..tuning import TUNING
 from .cnf import normalize_clause, var_of
 
 
@@ -156,7 +155,6 @@ class SatSolver:
         self._th_head = 0
         self._clauses: list[list[int]] = []
         self._learnts: list[_Learnt] = []
-        self._reduce_learnts = TUNING.reduce_learnts
         self._reduce_interval = 128
         self._next_reduce = 128
         self.reduced_clauses = 0
@@ -710,7 +708,7 @@ class SatSolver:
                 continue
             # No boolean/theory conflict at this fixpoint: a safe spot to
             # shed inactive learnt clauses (growing conflict intervals).
-            if self._reduce_learnts and self.conflicts >= self._next_reduce:
+            if self.conflicts >= self._next_reduce:
                 self._reduce_interval += 64
                 self._next_reduce = self.conflicts + self._reduce_interval
                 if len(self._learnts) > 32:

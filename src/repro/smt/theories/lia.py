@@ -29,16 +29,17 @@ the unit-coefficient constraints our VC generator emits.  Work is bounded
 by a constraint budget; exceeding it raises :class:`LiaBudgetExceeded`,
 which the analysis layer reports as a timeout (the paper's TO column).
 
-Besides the stateless :meth:`LiaSolver.check` there is a *trail* API used
-by the incremental DPLL(T) layer: facts are :meth:`LiaSolver.push`-ed as
-the SAT trail grows and :meth:`LiaSolver.pop_to`-ped on backjumps.  Each
-equation is Gaussian-eliminated *once*, at push time, against the
+The DPLL(T) layer uses the *trail* API: facts are :meth:`LiaSolver.push`-ed
+as the SAT trail grows and :meth:`LiaSolver.pop_to`-ped on backjumps.
+Each equation is Gaussian-eliminated *once*, at push time, against the
 substitution chain built so far; inequalities are substituted and
 tightened once and kept in reduced form; single-variable rows feed a
 bound store so ``x <= 2, x >= 3``-style conflicts surface at push time,
 before any Fourier–Motzkin elimination.  A check then only has to
 presolve the (usually empty) non-trail side equations on top of the
-already-reduced rows — see :meth:`LiaSolver.context`.
+already-reduced rows — see :meth:`LiaSolver.context`.  The stateless
+:meth:`LiaSolver.check` decides a whole fact list at once; the model
+value search (`repro.smt.model`) uses it to probe candidate values.
 """
 
 from __future__ import annotations
@@ -236,8 +237,8 @@ class _TrailContext:
 
 
 class LiaSolver:
-    """Stateless checker with memoization across calls, plus a trail API
-    (push/pop_to/context) for the incremental DPLL(T) path."""
+    """A trail API (push/pop_to/context) for the DPLL(T) layer, plus a
+    stateless checker with memoization across calls."""
 
     def __init__(self, budget: int = 20000):
         self.budget = budget
@@ -415,33 +416,7 @@ class LiaSolver:
             return set(core_lo) | set(core_hi) | set(dprem)
         return None
 
-    def entails_eq(self, eqs: list[Constraint], ineqs: list[Constraint],
-                   coeffs: LinForm, const: int) -> set | None:
-        """Does the system entail ``sum coeffs + const = 0``?
-
-        Returns the premise set of the entailment, or None.
-        """
-        pre = self._presolve(eqs, ineqs)
-        if pre.conflict is not None:
-            return set(pre.conflict)
-        lo = pre.apply((coeffs, const + 1, frozenset()))
-        hi = pre.apply((_neg(coeffs), -const + 1, frozenset()))
-        core_lo = self._fm_with(pre.reduced, lo)
-        if core_lo is None:
-            return None
-        core_hi = self._fm_with(pre.reduced, hi)
-        if core_hi is None:
-            return None
-        return set(core_lo) | set(core_hi)
-
     # ------------------------------------------------------------------
-
-    def _feasible(self, eqs: list[Constraint], ineqs: list[Constraint]) -> set | None:
-        pre = self._presolve(eqs, ineqs)
-        if pre.conflict is not None:
-            return set(pre.conflict)
-        core = self._fm(pre.reduced)
-        return set(core) if core is not None else None
 
     @staticmethod
     def _canon(cs, kind: str) -> frozenset:

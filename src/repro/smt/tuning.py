@@ -1,26 +1,29 @@
-"""Process-wide solver performance knobs.
+"""The one process-wide solver setting.
 
-The PR-4 solver optimizations (learnt-clause database reduction,
-incremental LIA, the cross-query theory-lemma cache) are all
-*verdict-preserving*: turning any of them off changes wall-clock and
-search-order counters but never a sat/unsat answer, and therefore never
-a ``ProcedureReport``.  That property is load-bearing — the differential
-fuzz oracles and ``tests/core/test_solver_tuning_determinism.py`` check
-it — so the knobs live here, in one place, where a test or oracle can
-flip them for the *reference* side of a comparison.
+``checked_theory_lemmas`` decides whether a self-checked run's theory
+lemmas carry checkable justifications (EUF congruence chains, LIA
+Farkas/tightening scripts) that the standalone proof checker replays, or
+enter the proof as trusted axioms.  It is verdict-preserving: only the
+certificate layer changes.  It is the trusted side of the checked-vs-
+trusted wall comparison in ``tools/selfcheck_fig5.py --compare-trusted``
+and of the ``theory_justifications`` fuzz oracle.
 
-``TUNING`` is read once per solver construction (``SatSolver`` /
-``TheoryCore``), so the context manager must wrap solver creation, not
-just the query::
+The solver's search mechanisms (learnt-clause reduction, the incremental
+LIA trail, the cross-query theory-lemma cache) have no switch: under
+``self_check`` the independent checker decides every answer, so a second
+search to compare against would check nothing more.
+
+``TUNING`` is read once per solver construction, so the context manager
+must wrap solver creation, not just the query::
 
     from repro.smt.tuning import tuning
 
-    with tuning(reduce_learnts=False):
-        report_off = analyze_procedure(program, name)
+    with tuning(checked_theory_lemmas=False):
+        report_trusted = analyze_procedure(program, name, self_check=True)
 
-The knobs are deliberately *not* environment variables: they exist for
-differential testing, and an env knob silently left on would make every
-"on vs off" comparison vacuous.
+The setting is deliberately *not* an environment variable: it exists for
+differential checks, and an env setting silently left on would make
+every checked-vs-trusted comparison vacuous.
 """
 
 from __future__ import annotations
@@ -31,21 +34,9 @@ from dataclasses import dataclass
 
 @dataclass
 class SolverTuning:
-    #: LBD-scored learnt-clause database reduction in the CDCL core.
-    reduce_learnts: bool = True
-    #: Trail-aligned incremental LIA (parse memo, incremental Gaussian
-    #: elimination, bound propagation) instead of re-solving from the
-    #: full fact list at every theory check.
-    lia_incremental: bool = True
-    #: Cross-query memo of theory-check verdicts keyed by the asserted
-    #: theory-atom literal set (the Nelson-Oppen exchange cache).
-    theory_lemma_cache: bool = True
-    #: Theory lemmas carry checkable justifications (EUF congruence
-    #: chains, LIA Farkas/tightening scripts) that the standalone proof
-    #: checker replays; off = the pre-PR-8 behaviour where ``"t"`` proof
-    #: steps are admitted as trusted axioms.  Verdict-preserving: only
-    #: the certificate layer changes.  Exists for bisection and for the
-    #: trusted-vs-checked wall comparison in tools/selfcheck_fig5.py.
+    #: Theory lemmas carry checkable justifications that the standalone
+    #: proof checker replays; off = ``"t"`` proof steps are admitted as
+    #: trusted axioms.
     checked_theory_lemmas: bool = True
 
 

@@ -16,7 +16,8 @@ import repro.core.sib as sib_mod
 from repro.bench import make_suite
 from repro.bench.runner import compile_suite
 from repro.core import (A0, A1, A2, CONC, analyze_procedure,
-                        check_procedure, find_abstract_sibs)
+                        check_procedure, conservative_program,
+                        find_abstract_sibs)
 from repro.core.cache import AnalysisCache
 from repro.core.deadfail import clear_baseline_cache
 from repro.core.incremental import run_ci
@@ -135,7 +136,7 @@ def test_settings_that_can_change_an_answer_miss(change, encodings):
     program = _twins()
     find_abstract_sibs(program, "first")
     self_check = change == "self_check"
-    with tuning(reduce_learnts=change != "tuning"):
+    with tuning(checked_theory_lemmas=change != "tuning"):
         # Cons has no pruning bound: only that change leaves it a hit
         check_procedure(program, "first", self_check=self_check)
         find_abstract_sibs(program, "first", self_check=self_check,
@@ -160,7 +161,7 @@ def test_self_checked_runs_always_solve(encodings):
                    for key in deadfail._BASELINE_CACHE)
 
 
-def test_self_checked_run_after_an_unchecked_one_checks_everything():
+def _self_checked_after_unchecked(cache=None):
     # a self-checked answer must never come from an unchecked run: the
     # baselines (Dead(true), Fail(true)) included
     program = compile_suite(make_suite("moufilter", scale=0.5))
@@ -172,12 +173,32 @@ def test_self_checked_run_after_an_unchecked_one_checks_everything():
     lone = analyze_procedure(program, "moufilter_f1", config=CONC,
                              self_check=True)
     clear_baseline_cache()
-    analyze_procedure(program, "moufilter_f1", config=CONC)
+    analyze_procedure(program, "moufilter_f1", config=CONC, cache=cache)
     after = analyze_procedure(program, "moufilter_f1", config=CONC,
-                              self_check=True)
+                              cache=cache, self_check=True)
     assert certs(lone)["sat_checked"] + certs(lone)["unsat_checked"] > 0
     assert after.queries == lone.queries
     assert certs(after) == certs(lone)
+    return program
+
+
+def test_self_checked_run_after_an_unchecked_one_checks_everything():
+    _self_checked_after_unchecked()
+
+
+def test_self_checked_run_after_an_unchecked_record_checks_everything(
+        tmp_path):
+    # the same rule on disk: a self-checked analysis or Cons task
+    # neither reads nor writes a record
+    cache = AnalysisCache(tmp_path)
+    program = _self_checked_after_unchecked(cache)
+    assert (cache.hits, cache.stores) == (0, 1)
+    cons = dict(proc_names=["moufilter_f1"], cache_dir=tmp_path)
+    conservative_program(program, **cons)
+    stats: dict = {}
+    conservative_program(program, self_check=True, cache_stats_out=stats,
+                         **cons)
+    assert (stats["hits"], stats["stores"]) == (0, 0)
 
 
 def test_timed_out_analysis_is_not_stored(encodings):

@@ -14,8 +14,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CONC
-from repro.core.cache import AnalysisCache
 from repro.core.incremental import (load_manifest, plan_increment,
                                     render_delta, run_ci, save_manifest,
                                     warning_delta)
@@ -24,7 +22,6 @@ from repro.core.interproc import (call_graph, callers_of, spec_dependents,
 from repro.frontend.ingest import (IngestError, ingest_directory,
                                    merge_programs)
 from repro.lang import parse_program, typecheck
-from repro.lang.transform import prepare_procedure
 from repro.vc.encode import procedure_fingerprint
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "ci_repo"
@@ -395,8 +392,8 @@ class TestFastPath:
 
 
 class TestWallPlumbing:
-    """Satellite: per-procedure wall timings ride the manifest and the
-    cache record, feeding the historically-slow-first heuristic."""
+    """Per-procedure wall timings ride the manifest, feeding the
+    historically-slow-first heuristic."""
 
     def test_manifest_records_walls(self, tmp_path):
         repo = make_repo(tmp_path)
@@ -406,25 +403,6 @@ class TestWallPlumbing:
         assert set(walls) == {"Release", "Main", "Buggy", "Clamp"}
         assert all(w >= 0.0 for w in walls.values())
         assert walls["Buggy"] > 0.0
-
-    def test_cache_records_carry_wall_and_wall_of_reads_it(self, tmp_path):
-        repo = make_repo(tmp_path)
-        cache_dir = tmp_path / "cache"
-        run_ci(repo, tmp_path / "m.json", cache_dir=str(cache_dir))
-        records = [json.loads(p.read_text())
-                   for p in cache_dir.glob("*.json")]
-        assert records and all("wall" in rec for rec in records)
-        # wall_of answers from the record without touching hit counters
-        program = ingest_directory(repo).program
-        cache = AnalysisCache(cache_dir)
-        prepared = prepare_procedure(program, program.proc("Buggy"),
-                                     havoc_returns=CONC.havoc_returns,
-                                     unroll_depth=2)
-        key = cache.analysis_key(program, prepared, config=CONC,
-                                 prune_k=None, unroll_depth=2, max_preds=12)
-        wall = cache.wall_of(key)
-        assert isinstance(wall, float) and wall > 0.0
-        assert cache.hits == 0 and cache.misses == 0
 
 
 class TestManifestIO:

@@ -1,10 +1,13 @@
-"""Solver tuning knobs must not change any semantic result.
+"""Checking an answer must not change it.
 
-Clause-DB reduction, the incremental LIA trail and the cross-query
-theory-lemma cache each reshape the *search* (counters and timings move)
-but every verdict — fail/dead sets, warnings, specs, classifications —
-must be bit-identical with each knob off.  Checked on the committed fuzz
-corpus and on fig5-small style generated suites."""
+Self-checking (``self_check``) certificate-checks every solver answer,
+and the one solver tuning field, ``checked_theory_lemmas``, decides
+whether a self-checked run's theory lemmas are replayed by the checker
+or trusted.  Both reshape the *work* (proof logging, justifications,
+counters and timings move) but every verdict — fail/dead sets,
+warnings, specs, classifications — must be bit-identical to the
+unchecked run's.  Checked on the committed fuzz corpus and on
+fig5-small style generated suites."""
 
 from __future__ import annotations
 
@@ -28,21 +31,17 @@ from repro.vc.encode import EncodedProcedure
 CORPUS = sorted(
     (Path(__file__).resolve().parent.parent / "corpus").glob("*.bpl"))
 
-KNOBS = ["reduce_learnts", "lia_incremental", "theory_lemma_cache"]
-
-#: every single-knob-off setting plus everything-off
-SETTINGS = [{k: False} for k in KNOBS] + [{k: False for k in KNOBS}]
-
-
-def _setting_id(setting):
-    return "+".join(sorted(k for k, v in setting.items() if not v))
+#: (name, tuning overrides) of each self-checked setting compared
+#: against the unchecked run
+SETTINGS = [("checked lemmas", {}),
+            ("trusted lemmas", {"checked_theory_lemmas": False})]
 
 
-def _analyze(program, **overrides):
+def _analyze(program, self_check=False, **overrides):
     clear_baseline_cache()
     with tuning(**overrides):
         report = analyze_program(program, timeout=None, lia_budget=20000,
-                                 max_preds=6)
+                                 max_preds=6, self_check=self_check)
     return [(r.proc_name, _fields(r)) for r in report.reports]
 
 
@@ -50,24 +49,24 @@ def _analyze(program, **overrides):
 def test_corpus_reports_invariant_under_knobs(path):
     program = typecheck(parse_program(path.read_text()))
     baseline = _analyze(program)
-    for setting in SETTINGS:
-        assert _analyze(program, **setting) == baseline, \
-            f"{path.name}: report changed under {_setting_id(setting)}"
+    for name, overrides in SETTINGS:
+        assert _analyze(program, self_check=True, **overrides) == \
+            baseline, f"{path.name}: report changed with {name}"
 
 
 def test_fail_and_dead_sets_invariant_under_knobs():
     # drive the oracle directly: identical fail/dead sets for a fixed
-    # family of specs, knob by knob
+    # family of specs, setting by setting
     program = typecheck(parse_program(CORPUS[0].read_text()))
     name = next(n for n, p in program.procedures.items()
                 if p.body is not None)
 
-    def sets(**overrides):
+    def sets(self_check=False, **overrides):
         clear_baseline_cache()
         with tuning(**overrides):
             prepared = prepare_procedure(program, program.proc(name))
             preds = mine_predicates(program, prepared, max_preds=4)
-            enc = EncodedProcedure(program, prepared)
+            enc = EncodedProcedure(program, prepared, self_check=self_check)
             oracle = DeadFailOracle(enc, preds)
             specs = [frozenset()]
             for i in range(1, len(preds) + 1):
@@ -77,9 +76,9 @@ def test_fail_and_dead_sets_invariant_under_knobs():
                     for s in specs]
 
     baseline = sets()
-    for setting in SETTINGS:
-        assert sets(**setting) == baseline, \
-            f"fail/dead sets changed under {_setting_id(setting)}"
+    for setting, overrides in SETTINGS:
+        assert sets(self_check=True, **overrides) == baseline, \
+            f"fail/dead sets changed with {setting}"
 
 
 @pytest.mark.parametrize("suite_name", ["event", "moufilter"])
@@ -89,17 +88,18 @@ def test_fig5_small_suites_invariant_under_knobs(suite_name):
     suite = make_suite(suite_name, scale=0.5)
     program = compile_suite(suite)
 
-    def sweep(**overrides):
+    def sweep(self_check=False, **overrides):
         out = []
         with tuning(**overrides):
             for config in ALL_CONFIGS:
                 run = run_suite(suite, config, timeout=None,
-                                program=program, max_preds=6)
+                                program=program, max_preds=6,
+                                self_check=self_check)
                 out.append((config.name, run.warnings, run.timed_out,
                             run.n_procs, run.avg_preds, run.avg_clauses))
         return out
 
     baseline = sweep()
-    for setting in SETTINGS:
-        assert sweep(**setting) == baseline, \
-            f"{suite_name}: sweep changed under {_setting_id(setting)}"
+    for name, overrides in SETTINGS:
+        assert sweep(self_check=True, **overrides) == baseline, \
+            f"{suite_name}: sweep changed with {name}"

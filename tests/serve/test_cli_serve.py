@@ -72,6 +72,7 @@ def daemon(tmp_path_factory):
     if proc.poll() is None:
         proc.terminate()
         proc.wait(60)
+    proc.stdout.close()
 
 
 @pytest.fixture(scope="module")

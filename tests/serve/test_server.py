@@ -7,6 +7,7 @@ import json
 import socket
 import threading
 import time
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -293,3 +294,17 @@ class TestDrain:
         assert st.server.pool.worker_pids() == []
         accept_client.close()
         drainer.close()
+
+
+class TestClient:
+    def test_failed_connect_leaves_no_socket_open(self, tmp_path):
+        # every wait_ready poll against a path nobody serves opens a
+        # socket whose connect raises; none may be left to the collector
+        client = ServeClient(str(tmp_path / "missing.sock"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                client.wait_ready(timeout=0.2, interval=0.01)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]

@@ -1,5 +1,6 @@
-"""Learnt-clause DB reduction: deletion proofs, answer invariance under
-the ``reduce_learnts`` knob, and the decision-heap compaction bound."""
+"""Learnt-clause DB reduction: deletion proofs, answer invariance between
+forced-early reduction and the default interval, and the decision-heap
+compaction bound."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ import random
 
 from repro.smt.proofcheck import check_proof
 from repro.smt.sat.solver import SatSolver
-from repro.smt.tuning import tuning
 
 
 def make_solver(nvars: int) -> SatSolver:
@@ -69,31 +69,28 @@ class TestReductionProofs:
         for cl in s._learnts:
             assert cl.lbd >= 1  # scored at learn time, before backjump
 
-    def test_knob_off_never_reduces(self):
-        with tuning(reduce_learnts=False):
-            s = make_solver(30)
-        pigeonhole(s, 6, 5)
-        force_early_reduction(s)
-        assert s.solve() is False
-        assert s.reduced_clauses == 0
-
 
 class TestReductionInvariance:
     def test_answers_match_with_and_without_reduction(self):
+        # near the 3-SAT threshold, instances of this size take tens of
+        # conflicts: enough for forced-early reduction to fire in a few
+        # rounds, too few for the default interval (first reduction
+        # after 128 conflicts), which is the no-reduction side
         rng = random.Random(7)
+        reduced = 0
         for round_ in range(25):
-            nvars = rng.randint(8, 20)
-            clauses = random_3cnf(rng, nvars, int(nvars * 4.4))
-            answers = []
-            for on in (True, False):
-                with tuning(reduce_learnts=on):
-                    s = make_solver(nvars)
+            nvars = rng.randint(45, 55)
+            clauses = random_3cnf(rng, nvars, int(nvars * 4.26))
+            forced, default = make_solver(nvars), make_solver(nvars)
+            for s in (forced, default):
                 for cl in clauses:
                     s.add_clause(list(cl))
-                if on:
-                    force_early_reduction(s)
-                answers.append(s.solve())
-            assert answers[0] == answers[1], f"round {round_}: {clauses}"
+            force_early_reduction(forced)
+            assert forced.solve() == default.solve(), \
+                f"round {round_}: {clauses}"
+            assert default.reduced_clauses == 0
+            reduced += forced.reduced_clauses
+        assert reduced > 0, "forced reduction never fired"
 
 
 class TestHeapBound:

@@ -93,18 +93,28 @@ class TestDisequalities:
 
 
 class TestEntailsEq:
+    """Entailment as the DPLL(T) interface propagation asks it: push the
+    facts onto the trail, then probe ``context().entails_eq``."""
+
+    @staticmethod
+    def entails(lia, eqs, ineqs, coeffs, const):
+        for kind, facts in (("eq", eqs), ("le", ineqs)):
+            for c, k, p in facts:
+                assert lia.push(kind, c, k, p) is None
+        return lia.context().entails_eq(coeffs, const)
+
     def test_entailed_equality(self, lia):
         ineqs = [C({"x": 1, "y": -1}, 0, "a"), C({"y": 1, "x": -1}, 0, "b")]
-        prem = lia.entails_eq([], ineqs, {"x": 1, "y": -1}, 0)
+        prem = self.entails(lia, [], ineqs, {"x": 1, "y": -1}, 0)
         assert prem == {"a", "b"}
 
     def test_not_entailed(self, lia):
         ineqs = [C({"x": 1, "y": -1}, 0, "a")]
-        assert lia.entails_eq([], ineqs, {"x": 1, "y": -1}, 0) is None
+        assert self.entails(lia, [], ineqs, {"x": 1, "y": -1}, 0) is None
 
     def test_entailed_via_constants(self, lia):
         eqs = [C({"x": 1}, -3, "e1"), C({"y": 1}, -3, "e2")]
-        prem = lia.entails_eq(eqs, [], {"x": 1, "y": -1}, 0)
+        prem = self.entails(lia, eqs, [], {"x": 1, "y": -1}, 0)
         assert prem == {"e1", "e2"}
 
 
