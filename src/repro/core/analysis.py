@@ -19,13 +19,14 @@ of aborting the whole sweep.  The one exception is a rejected solver
 certificate under ``self_check``: that is re-raised, because a
 certificate failure means the toolchain itself is wrong.
 
-Both sweeps, and ``analyze_procedure`` itself, consult the persistent
-content-addressed cache (`repro.core.cache`) when given one: a procedure
-whose structural hash + configuration fingerprint is already on disk
-returns its stored ``ProcedureReport`` verbatim, with zero solver work.
-Under ``jobs > 1`` every worker opens the same cache directory — records
-are written atomically, so sharing is safe — and the per-worker
-hit/miss/store counters are merged into ``ProgramReport.cache_stats``.
+Both sweeps, and ``analyze_procedure`` itself, take the persistent
+content-addressed cache (`repro.core.cache`) as the analysis memo's disk
+tier when given one: a (prepared procedure, Q) pair recorded there by
+an earlier run is answered as a memo hit is, with the recorded verdict
+and zero solver work.  Under ``jobs > 1`` every worker opens the same
+cache directory — records are written atomically, so sharing is safe —
+and the per-worker hit/miss/store counters are merged into
+``ProgramReport.cache_stats``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import time
 from dataclasses import dataclass, field
 
 from ..lang.ast import Program
-from ..lang.transform import prepare_procedure
+# kept for the e2e benchmark's tracer, which wraps this name
+from ..lang.transform import prepare_procedure  # noqa: F401
 from ..scenarios.classes import bug_class_counts
 from ..smt.allsat import AllSatBudgetExceeded
 from ..smt.theories.lia import LiaBudgetExceeded
@@ -42,7 +44,7 @@ from .acspec import SearchBudgetExceeded
 from .cache import AnalysisCache, merge_cache_stats
 from .config import AbstractionConfig, CONC
 from .deadfail import AnalysisTimeout, Budget
-from .sib import SibResult, SibStatus, find_abstract_sibs
+from .sib import SibStatus, find_abstract_sibs
 
 _BUDGET_ERRORS = (AnalysisTimeout, LiaBudgetExceeded, AllSatBudgetExceeded,
                   SearchBudgetExceeded, RecursionError)
@@ -148,11 +150,14 @@ def analyze_procedure(program: Program, proc_name: str,
                       ) -> ProcedureReport:
     """Analyze one procedure; budget exhaustion yields ``timed_out``.
 
-    ``cache`` (an :class:`AnalysisCache` or a directory path) enables
-    the persistent content-addressed cache: a hit returns the stored
-    report verbatim — bit-identical to the run that produced it — and a
-    completed miss is stored for next time.  Timed-out analyses are
-    never cached (they depend on the budget, which is outside the key).
+    ``cache`` (an :class:`AnalysisCache` or a directory path) gives the
+    analysis memo its disk tier (see :func:`find_abstract_sibs`): a
+    (prepared procedure, Q) pair recorded there is answered as a memo
+    hit is — the recorded verdict under this call's names, zero query
+    and solver counters, and ``seconds`` and ``phases`` of this call —
+    and a completed analysis is recorded for next time.  Timed-out
+    analyses are never recorded (they depend on the budget, which is
+    outside the key).
 
     ``self_check`` runs the solver in certificate-validating mode: a
     rejected certificate raises :class:`repro.smt.api.CertificateError`
@@ -160,28 +165,15 @@ def analyze_procedure(program: Program, proc_name: str,
     report carries the certificates of its own answers, so it neither
     reads nor writes a cache record and always solves.
     """
-    cache = None if self_check else AnalysisCache.open(cache)
     start = time.monotonic()
-    prepared = None
-    key = None
-    if cache is not None:
-        prepared = prepare_procedure(program, program.proc(proc_name),
-                                     havoc_returns=config.havoc_returns,
-                                     unroll_depth=unroll_depth)
-        key = cache.analysis_key(program, prepared, config=config,
-                                 prune_k=prune_k, unroll_depth=unroll_depth,
-                                 max_preds=max_preds)
-        hit = cache.load_analysis(key, proc_name=proc_name)
-        if hit is not None:
-            return hit
     report = ProcedureReport(proc_name=proc_name, config_name=config.name)
     budget = Budget(timeout)
-    res: SibResult | None = None
     try:
         res = find_abstract_sibs(
             program, proc_name, config=config, prune_k=prune_k,
             budget=budget, unroll_depth=unroll_depth, max_preds=max_preds,
-            lia_budget=lia_budget, prepared=prepared, self_check=self_check)
+            lia_budget=lia_budget, cache=AnalysisCache.open(cache),
+            self_check=self_check)
         report.status = res.status
         report.warnings = res.warnings
         report.conservative_warnings = res.conservative_warnings
@@ -199,8 +191,6 @@ def analyze_procedure(program: Program, proc_name: str,
         report.timed_out = True
     report.seconds = time.monotonic() - start
     report.budget_remaining = budget.remaining()
-    if cache is not None and res is not None and not report.timed_out:
-        cache.store_analysis(key, report, res)
     return report
 
 
@@ -340,9 +330,9 @@ def conservative_program(program: Program, timeout: float | None = 10.0,
 # ----------------------------------------------------------------------
 
 def program_report_to_json(report: ProgramReport) -> dict:
-    """A JSON-safe dict carrying a ``ProgramReport`` verbatim.  The
-    persistent cache already stores ``ProcedureReport`` as
-    ``dataclasses.asdict`` JSON, so the same encoding is bit-exact."""
+    """A JSON-safe dict carrying a ``ProgramReport`` verbatim: every
+    ``ProcedureReport`` field is a JSON value, so its
+    ``dataclasses.asdict`` form round-trips bit-exactly."""
     from dataclasses import asdict
     return {
         "config_name": report.config_name,
@@ -354,7 +344,7 @@ def program_report_to_json(report: ProgramReport) -> dict:
 
 def program_report_from_json(data: dict) -> ProgramReport:
     """Inverse of :func:`program_report_to_json` (strict: unknown
-    report fields are an error, mirroring the cache loader)."""
+    report fields are an error)."""
     field_names = {f.name for f in
                    ProcedureReport.__dataclass_fields__.values()}
     reports = []

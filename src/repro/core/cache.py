@@ -1,19 +1,23 @@
-"""Persistent, content-addressed analysis cache (warm-start sweeps).
+"""Persistent, content-addressed analysis cache: the disk tier of the
+analysis memo, and the parse and declaration records of CI mode.
 
-Every ``acspec`` invocation used to start cold, re-deriving encodings,
-predicate covers, Dead/Fail baselines and reports that are identical run
-to run.  This module keys all of that on a *content address*: a SHA-256
-digest of the post-elaboration procedure AST (via
-:func:`repro.vc.encode.procedure_fingerprint`) combined with the
-budget-insensitive analysis fingerprint — the vocabulary-abstraction
-knobs, the §4.3 pruning bound, the unroll depth, ``max_preds``, the
-Dead() semantics knob, and the record schema version.  Wall-clock and
-solver budgets (``timeout``, ``lia_budget``) are deliberately **not**
-part of the key: only analyses that ran to completion are stored, and a
-completed analysis is a pure function of the fingerprinted inputs.
-Neither is the procedure's *name*: a fingerprint-identical procedure
-that reappears under a new name (file rename, procedure move) hits the
-record it earned under the old one, with the name rewritten on load.
+A completed unchecked analysis or Cons result lives in the in-process
+memo of `repro.core.deadfail` under its memo key
+(:func:`repro.core.deadfail.memo_key`): the prepared procedure's
+:func:`repro.vc.encode.procedure_fingerprint` (the post-elaboration AST,
+which reflects ``havoc_returns`` and ``unroll_depth``), the solver
+settings, the Dead() semantics and, for an analysis, ``prune_k`` and
+the mined vocabulary Q in order.  This module keeps the same entries on
+disk, one record per key, named by a digest of the key
+(:meth:`AnalysisCache.entry_key`), so that a later process finds what
+an earlier one computed.  Wall-clock and solver budgets (``timeout``,
+``lia_budget``) are not part of the key: only results that ran to
+completion are recorded, and a completed result is a function of the
+key.  Neither is the configuration's name nor the procedure's: a Conc
+record serves A1 whenever their Q coincide, and a renamed or moved
+procedure finds the record it earned under its old name.  A hit from
+disk returns as a memo hit does, under the caller's names with zeroed
+counters.
 
 On-disk layout (see ``docs/caching.md`` for the full format):
 
@@ -26,13 +30,9 @@ On-disk layout (see ``docs/caching.md`` for the full format):
   invalidation) and silently overwritten — a bad cache can cost time,
   never correctness, and never a crash.
 
-Two record kinds exist: ``analysis`` (the full per-procedure
-:class:`~repro.core.analysis.ProcedureReport` plus the encoding summary,
-predicate cover and baseline Dead/Fail sets) and ``cons`` (the
-conservative verifier's warnings).  Loading either kind also pre-seeds
-the in-process baseline memo (:func:`repro.core.deadfail.seed_baselines`)
-so that even a *partial* hit — same procedure, different configuration —
-skips the vocabulary-independent baseline queries.
+Two record kinds hold memo entries: ``analysis`` (a completed
+:class:`~repro.core.sib.SibResult`) and ``cons`` (a
+:class:`~repro.core.checker.CheckResult`).
 
 A third kind, ``parse``, lives in a second instance rooted at
 ``<cache-dir>/parse``: one source file's frontend output, keyed by the
@@ -50,31 +50,39 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from ..lang.ast import Procedure, Program
 from ..lang.codec import LAYOUT_DIGEST, decode, decode_program, encode
-from ..vc.encode import procedure_fingerprint
+# kept for the e2e benchmark's tracer, which wraps this name
+from ..vc.encode import procedure_fingerprint  # noqa: F401
 from .config import AbstractionConfig
-from .cover import cover_to_json
-from .deadfail import seed_baselines
 
 #: Version of the on-disk record format.  Bump it whenever the meaning
-#: or shape of a record changes (new ``ProcedureReport`` fields, changed
+#: or shape of a record changes (new fields of a recorded result, changed
 #: id assignment, changed semantics); old records then hash to different
 #: keys and simply stop being found — no migration, no mixed reads.
 #: v3: the content address no longer covers the procedure *name* (a
-#: renamed/moved procedure keeps its entry).  v3 and v4 records were
-#: written with a top-level ``wall`` that no loader reads; records no
-#: longer carry it, which needs no bump.
+#: renamed/moved procedure keeps its entry).
 #: v4: ``ProcedureReport`` gained ``bug_classes`` (per-warning-class
 #: counts derived from label prefixes); v3 records lack the field and
 #: must miss cleanly.
+#: v5: analysis and Cons records are memo entries named by a digest of
+#: the memo key (prepared procedure, solver settings, Dead() semantics,
+#: ``prune_k`` and Q), no longer reports keyed by configuration knobs.
 #: Parse records are keyed by source bytes, not by what the frontend
 #: makes of them, so a change to what the parser or the ``.c`` lowering
 #: emits for the same bytes is a bump too.  (A changed AST *layout*
 #: needs none: ``LAYOUT_DIGEST`` is in the parse key.)
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
+
+#: Memo-entry fields that hold AST formulas, recorded through
+#: `repro.lang.codec`.
+_FORMULA_FIELDS = ("preds", "spec_formulas")
+
+#: The JSON type a recorded field must have, by its annotation.
+_JSON_TYPES = {"str": str, "int": int, "list": list, "dict": dict}
 
 
 def _digest(*parts: str) -> str:
@@ -86,35 +94,40 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()
 
 
-def analysis_cache_key(program: Program, prepared: Procedure, *,
-                       config: AbstractionConfig, prune_k: int | None,
-                       unroll_depth: int, max_preds: int,
-                       dead_through_failures: bool = True) -> str:
-    """The content address of one ``analyze_procedure`` outcome.
-
-    ``prepared`` must be the post-elaboration procedure (it already
-    reflects ``havoc_returns`` and ``unroll_depth``; both are still
-    mixed in explicitly so the key derivation needs no knowledge of
-    which knobs the lowering absorbed).  Module-level so the serving
-    layer can coalesce identical in-flight requests on the same
-    address without opening a cache.
-    """
-    return _digest(
-        "analysis",
-        f"ignore_conditionals={config.ignore_conditionals}",
-        f"havoc_returns={config.havoc_returns}",
-        f"prune_k={prune_k}",
-        f"unroll_depth={unroll_depth}",
-        f"max_preds={max_preds}",
-        f"dead_through_failures={dead_through_failures}",
-        procedure_fingerprint(program, prepared))
+def _entry_to_json(entry) -> dict:
+    """The JSON form of a memo entry: its dataclass fields, with the
+    configuration as a dict and formulas encoded."""
+    out = {}
+    for f in fields(entry):
+        value = getattr(entry, f.name)
+        if f.name == "config":
+            value = asdict(value)
+        elif f.name in _FORMULA_FIELDS:
+            value = encode(tuple(value))
+        out[f.name] = value
+    return out
 
 
-def cons_cache_key(program: Program, prepared: Procedure, *,
-                   unroll_depth: int) -> str:
-    """The content address of one conservative-verifier outcome."""
-    return _digest("cons", f"unroll_depth={unroll_depth}",
-                   procedure_fingerprint(program, prepared))
+def _entry_from_json(kind: str, data: dict):
+    """Inverse of :func:`_entry_to_json` for a memo entry of ``kind``;
+    raises on a field set other than the entry class's, or a field of
+    another JSON type than its annotation."""
+    from .checker import CheckResult
+    from .sib import SibResult
+    cls = {"analysis": SibResult, "cons": CheckResult}[kind]
+    if set(data) != {f.name for f in fields(cls)}:
+        raise ValueError("record fields differ from the entry's")
+    for f in fields(cls):
+        expected = _JSON_TYPES.get(f.type)
+        if expected is not None and type(data[f.name]) is not expected:
+            raise ValueError(f"record field {f.name} is not a {f.type}")
+    values = dict(data)
+    if "config" in values:
+        values["config"] = AbstractionConfig(**values["config"])
+    for name in _FORMULA_FIELDS:
+        if name in values:
+            values[name] = list(decode(values[name]))
+    return cls(**values)
 
 
 class AnalysisCache:
@@ -133,10 +146,6 @@ class AnalysisCache:
         self.misses = 0
         self.stores = 0
         self.invalidations = 0
-        # solver queries *replayed* from disk instead of executed: hit
-        # reports carry the original run's counters verbatim, so
-        # "queries actually performed" = total queries - queries_served
-        self.queries_served = 0
 
     @classmethod
     def open(cls, cache: "AnalysisCache | str | os.PathLike | None"
@@ -151,28 +160,19 @@ class AnalysisCache:
         """Counters for the observability layer (summed per sweep into
         ``ProgramReport.cache_stats`` and ``CiResult.stats["cache"]``)."""
         return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "invalidations": self.invalidations,
-                "queries_served": self.queries_served}
+                "stores": self.stores, "invalidations": self.invalidations}
 
     # ------------------------------------------------------------------
     # content addresses
     # ------------------------------------------------------------------
 
-    def analysis_key(self, program: Program, prepared: Procedure, *,
-                     config: AbstractionConfig, prune_k: int | None,
-                     unroll_depth: int, max_preds: int,
-                     dead_through_failures: bool = True) -> str:
-        """See :func:`analysis_cache_key` (kept as a method for callers
-        that already hold a cache)."""
-        return analysis_cache_key(
-            program, prepared, config=config, prune_k=prune_k,
-            unroll_depth=unroll_depth, max_preds=max_preds,
-            dead_through_failures=dead_through_failures)
-
-    def cons_key(self, program: Program, prepared: Procedure, *,
-                 unroll_depth: int) -> str:
-        """See :func:`cons_cache_key`."""
-        return cons_cache_key(program, prepared, unroll_depth=unroll_depth)
+    def entry_key(self, key: tuple) -> str:
+        """The content address of the record that keeps the memo entry
+        under ``key`` (:func:`repro.core.deadfail.memo_key`): a digest
+        of its ``repr``, which is the same in every process because the
+        key holds only strings, numbers, booleans, ``None`` and AST
+        formulas."""
+        return _digest("memo", repr(key))
 
     def parse_key(self, source_digest: str, frontend: str,
                   **inputs) -> str:
@@ -244,107 +244,32 @@ class AnalysisCache:
         self.stores += 1
 
     # ------------------------------------------------------------------
-    # analysis records
+    # memo entries (analysis and cons records)
     # ------------------------------------------------------------------
 
-    def load_analysis(self, key: str, proc_name: str | None = None):
-        """The cached :class:`~repro.core.analysis.ProcedureReport` for
-        ``key``, or ``None``.  A hit also seeds the in-process baseline
-        memo from the record's Dead/Fail baseline sets.
-
-        ``proc_name`` rewrites the loaded report's procedure name: the
-        content address is name-independent (a renamed or moved
-        procedure hits the record it earned under its old name), so the
-        stored name may be stale for this caller."""
-        from .analysis import ProcedureReport
-        rec = self._read(key, "analysis")
+    def load_analysis(self, key: tuple):
+        """The memo entry recorded under ``key``, or ``None``: a
+        completed :class:`~repro.core.sib.SibResult` for the
+        ``analysis`` kind, a :class:`~repro.core.checker.CheckResult`
+        for ``cons``."""
+        rec = self._read(self.entry_key(key), key[0])
         if rec is None:
             return None
         try:
-            report_dict = dict(rec["report"])
-            field_names = {f.name for f in
-                           ProcedureReport.__dataclass_fields__.values()}
-            unknown = set(report_dict) - field_names
-            if unknown:
-                raise ValueError(f"unknown report fields {unknown}")
-            report = ProcedureReport(**report_dict)
-            base = rec["baseline"]
-            seed_baselines(rec["encoding"]["fingerprint"],
-                           bool(base["dead_through_failures"]),
-                           live_locs=base["live_locs"],
-                           fail_true=base["fail_true"])
-        except Exception:
-            self.invalidations += 1
-            return None
-        if proc_name is not None:
-            report.proc_name = proc_name
-        self.hits += 1
-        self.queries_served += report.queries
-        return report
-
-    def store_analysis(self, key: str, report, res) -> None:
-        """Persist a *completed* analysis: the report verbatim plus the
-        content-addressing ingredients from the :class:`SibResult`
-        (encoding summary, predicate cover, baseline sets).  Timed-out
-        reports must not be stored — they depend on the budget, which is
-        outside the key."""
-        from dataclasses import asdict
-        if report.timed_out or report.failed:
-            return
-        self._write(key, {
-            "schema": SCHEMA_VERSION,
-            "kind": "analysis",
-            "proc": report.proc_name,
-            "config": report.config_name,
-            "encoding": res.enc_summary,
-            "cover": cover_to_json(res.cover),
-            "baseline": {
-                "dead_through_failures": res.dead_through_failures,
-                "live_locs": sorted(res.baseline_live),
-                "fail_true": sorted(res.baseline_fail_true),
-            },
-            "report": asdict(report),
-        })
-
-    # ------------------------------------------------------------------
-    # conservative-verifier records
-    # ------------------------------------------------------------------
-
-    def load_cons(self, key: str) -> list | None:
-        """The cached conservative warning labels for ``key``, or
-        ``None``; also seeds the baseline memo."""
-        rec = self._read(key, "cons")
-        if rec is None:
-            return None
-        try:
-            warnings = [str(w) for w in rec["warnings"]]
-            base = rec["baseline"]
-            seed_baselines(rec["encoding"]["fingerprint"],
-                           bool(base["dead_through_failures"]),
-                           live_locs=base["live_locs"],
-                           fail_true=base["fail_true"])
-        except Exception:
+            entry = _entry_from_json(key[0], rec["entry"])
+        except (KeyError, TypeError, ValueError, RecursionError):
             self.invalidations += 1
             return None
         self.hits += 1
-        return warnings
+        return entry
 
-    def store_cons(self, key: str, result) -> None:
-        """Persist a completed conservative check (a
-        :class:`~repro.core.checker.CheckResult` carrying its encoding
-        summary and baseline sets)."""
-        self._write(key, {
-            "schema": SCHEMA_VERSION,
-            "kind": "cons",
-            "proc": result.proc_name,
-            "encoding": result.enc_summary,
-            "baseline": {
-                "dead_through_failures": True,
-                "live_locs": sorted(result.live_locs),
-                "fail_true": sorted(result.fail_aids),
-            },
-            "warnings": list(result.warnings),
-        })
+    def store_analysis(self, key: tuple, entry) -> None:
+        """Record the memo entry ``entry`` under ``key``.  Callers store
+        completed results only: a timed-out one depends on the budget,
+        which is outside the key."""
+        self._write(self.entry_key(key), {"schema": SCHEMA_VERSION,
+                                          "kind": key[0],
+                                          "entry": _entry_to_json(entry)})
 
     # ------------------------------------------------------------------
     # parse records

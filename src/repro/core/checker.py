@@ -8,7 +8,6 @@ Boogie would report for these procedures.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 from ..lang.ast import Procedure, Program
@@ -22,11 +21,6 @@ class CheckResult:
     proc_name: str
     warnings: list = field(default_factory=list)
     n_asserts: int = 0
-    # content-addressing ingredients for the persistent cache (see
-    # repro.core.cache): encoding summary and the baseline sets
-    enc_summary: dict = field(default_factory=dict)
-    live_locs: frozenset = frozenset()
-    fail_aids: frozenset = frozenset()
 
     @property
     def verified(self) -> bool:
@@ -37,56 +31,52 @@ def check_procedure(program: Program, proc: Procedure | str,
                     budget: Budget | None = None,
                     unroll_depth: int = 2,
                     lia_budget: int = 20000,
-                    prepared: Procedure | None = None,
+                    cache=None,
                     self_check: bool = False) -> CheckResult:
     """Run the conservative verifier on one procedure.
 
-    ``prepared`` may carry the already-lowered procedure (callers that
-    hashed it for the analysis cache pass it back to skip re-lowering).
     ``self_check`` makes every solver answer certificate-checked
     (:class:`repro.smt.api.CertificateError` on rejection).
     Without ``self_check``, ``Fail(true)`` of a prepared procedure found
     earlier in this process, by a Cons run or by any completed unchecked
     analysis under the same solver settings, is answered from the memo
-    (`repro.core.deadfail`) without encoding or solving.
+    (`repro.core.deadfail`) without encoding or solving; with ``cache``
+    (an `repro.core.cache.AnalysisCache`), so is one recorded on disk by
+    an earlier Cons run, and a result this call finds is recorded.
     """
     if isinstance(proc, str):
         proc = program.proc(proc)
-    if prepared is None:
-        prepared = prepare_procedure(program, proc,
-                                     unroll_depth=unroll_depth)
+    prepared = prepare_procedure(program, proc, unroll_depth=unroll_depth)
     if not self_check:
         recorded = memo_get(memo_key(
-            "cons", procedure_fingerprint(program, prepared), self_check))
+            "cons", procedure_fingerprint(program, prepared), self_check),
+            cache)
         if recorded is not None:
             return _detached(recorded, proc.name)
     enc = EncodedProcedure(program, prepared, lia_budget=lia_budget,
                            self_check=self_check)
     oracle = DeadFailOracle(enc, [], budget=budget)
-    return conservative_result(proc.name, oracle, oracle.conservative_fail())
+    return conservative_result(proc.name, oracle, oracle.conservative_fail(),
+                               cache)
 
 
 def conservative_result(proc_name: str, oracle: DeadFailOracle,
-                        fails: frozenset) -> CheckResult:
+                        fails: frozenset, cache=None) -> CheckResult:
     """The Cons result for ``fails``, the ``Fail(true)`` that ``oracle``
     found.  Unless the run was self-checked, a copy goes into the memo
     for every later Cons run on the same prepared procedure under the
-    same solver settings."""
+    same solver settings, and into ``cache`` when one is given."""
     enc = oracle.enc
     result = CheckResult(proc_name=proc_name,
                          warnings=oracle.labels_of(fails),
-                         n_asserts=len(enc.assert_events),
-                         enc_summary=enc.summary(),
-                         live_locs=oracle.live_locs,
-                         fail_aids=fails)
+                         n_asserts=len(enc.assert_events))
     if not enc.self_check:
         memo_store(memo_key("cons", enc.fingerprint(), enc.self_check),
-                   _detached(result, proc_name))
+                   _detached(result, proc_name), cache)
     return result
 
 
 def _detached(res: CheckResult, proc_name: str) -> CheckResult:
-    """A copy of ``res`` under ``proc_name`` that shares no list or dict
-    with it, so no caller can mutate a memo entry."""
-    return replace(res, proc_name=proc_name, warnings=list(res.warnings),
-                   enc_summary=copy.deepcopy(res.enc_summary))
+    """A copy of ``res`` under ``proc_name`` that shares no list with
+    it, so no caller can mutate a memo entry."""
+    return replace(res, proc_name=proc_name, warnings=list(res.warnings))

@@ -20,20 +20,6 @@ from .clauses import ClauseSet
 from .deadfail import DeadFailOracle
 
 
-def cover_to_json(cover: ClauseSet) -> list:
-    """Canonical JSON form of a clause set: clauses as lists of literal
-    indices sorted by variable, outer list sorted lexicographically —
-    deterministic, so equal covers serialize to equal bytes (which the
-    persistent analysis cache relies on)."""
-    return sorted(sorted(c, key=abs) for c in cover)
-
-
-def cover_from_json(data) -> ClauseSet:
-    """Inverse of :func:`cover_to_json`."""
-    return frozenset(frozenset(int(lit) for lit in clause)
-                     for clause in data)
-
-
 def predicate_cover(oracle: DeadFailOracle,
                     model_limit: int = 4096) -> ClauseSet:
     """``PredicateCover_Q(pr)`` as a set of maximal Q-clauses."""

@@ -89,8 +89,6 @@ class Budget:
 # it wholesale, so these baselines are memoized per procedure
 # fingerprint (location/assertion ids are assigned deterministically by
 # ``instrument``, so the cached id sets transfer between encodings).
-# The persistent cache (`repro.core.cache`) pre-seeds this memo from
-# disk via :func:`seed_baselines`.
 #
 # The same store holds two more kinds: ``analysis``, a completed
 # Algorithm 1 result keyed additionally by the mined vocabulary Q (in
@@ -102,7 +100,10 @@ class Budget:
 # self-checked request is never answered from an unchecked run.  The
 # ``analysis`` and ``cons`` kinds hold unchecked runs only: a
 # self-checked run always solves, so that the certificates it reports
-# are those of its own answers.
+# are those of its own answers.  Their entries have a persistent tier:
+# given an `repro.core.cache.AnalysisCache`, :func:`memo_get` falls back
+# to the record kept under the same key and :func:`memo_store` writes
+# one.
 # ----------------------------------------------------------------------
 
 _BASELINE_CACHE: dict[tuple, object] = {}
@@ -124,30 +125,29 @@ def clear_baseline_cache() -> None:
     _BASELINE_CACHE.clear()
 
 
-def memo_get(key: tuple):
-    """The entry under ``key``, or ``None``."""
-    return _BASELINE_CACHE.get(key)
+def memo_get(key: tuple, cache=None):
+    """The entry under ``key``, or ``None``.  With ``cache``, a memo miss
+    reads the record kept under ``key``, which then joins the memo, and
+    a memo hit is written to ``cache`` when it holds no record yet."""
+    entry = _BASELINE_CACHE.get(key)
+    if cache is None:
+        return entry
+    if entry is None:
+        entry = cache.load_analysis(key)
+        if entry is not None:
+            memo_store(key, entry)
+    elif not cache.has_record(cache.entry_key(key)):
+        cache.store_analysis(key, entry)
+    return entry
 
 
-def memo_store(key: tuple, value) -> None:
+def memo_store(key: tuple, value, cache=None) -> None:
+    """Keep ``value`` under ``key``, and with ``cache`` on disk too."""
     if len(_BASELINE_CACHE) >= _BASELINE_CACHE_CAP:
         _BASELINE_CACHE.clear()
     _BASELINE_CACHE[key] = value
-
-
-def seed_baselines(fingerprint: str, dead_through_failures: bool,
-                   live_locs=None, fail_true=None) -> None:
-    """Prime the process-wide baseline memo from a persistent cache
-    record (see `repro.core.cache`): ``fingerprint`` is the
-    :func:`repro.vc.encode.procedure_fingerprint` of the prepared
-    procedure the sets were computed for.  A record does not say whether
-    its run was certificate-checked, so only the unchecked key is
-    seeded.  Existing in-process entries win (they were computed, not
-    deserialized); unknown values pass ``None``."""
-    for kind, value in (("live", live_locs), ("fail_true", fail_true)):
-        key = memo_key(kind, fingerprint, False, dead_through_failures)
-        if value is not None and key not in _BASELINE_CACHE:
-            memo_store(key, frozenset(value))
+    if cache is not None:
+        cache.store_analysis(key, value)
 
 
 class DeadFailOracle:
@@ -191,7 +191,7 @@ class DeadFailOracle:
     @property
     def live_locs(self) -> frozenset:
         """Locations live under ``true`` — the §2.3 baseline the
-        location set was pruned to (persisted by the analysis cache)."""
+        location set was pruned to."""
         return self._live_locs
 
     # ------------------------------------------------------------------

@@ -27,8 +27,8 @@ affect, not for the whole repo.  This module is that driver:
    * ``changed`` — its own surface fingerprint differs;
    * ``renamed`` — a new name whose surface fingerprint matches a
      procedure that disappeared (file rename / procedure move; it is
-     re-served, but the name-independent persistent cache answers it
-     with zero solver work);
+     re-served, but the name-independent memo or persistent cache
+     answers it with zero solver work);
    * ``new`` — a new name with a never-seen fingerprint;
    * ``dependent`` — its own surface is untouched but a direct
      callee's *spec* fingerprint changed.  One level only, by
@@ -101,11 +101,13 @@ _CLASS_FIELD = {"high": "warnings", "cons": "conservative_warnings"}
 def config_fingerprint(config: AbstractionConfig, *, prune_k: int | None,
                        unroll_depth: int, max_preds: int,
                        bug_classes: frozenset[str] | None = None) -> dict:
-    """The budget-insensitive analysis knobs a manifest is valid under.
-    Mirrors the persistent cache key's configuration slice: a manifest
-    produced under different knobs says nothing about this run, so a
-    mismatch dirties everything.  ``bug_classes`` is part of the slice
-    because it changes what the ``.c`` lowering *asserts*."""
+    """The budget-insensitive analysis knobs a manifest is valid under:
+    the configuration (its name and both abstraction knobs),
+    ``prune_k``, ``unroll_depth``, ``max_preds`` and ``bug_classes``.
+    A manifest's entries are the reports of one configuration, so one
+    produced under different knobs says nothing about this run, and a
+    mismatch dirties everything.  ``bug_classes`` is part of it because
+    it changes what the ``.c`` lowering *asserts*."""
     return {"config_name": config.name,
             "ignore_conditionals": config.ignore_conditionals,
             "havoc_returns": config.havoc_returns,
@@ -509,8 +511,7 @@ def run_ci(root: str | os.PathLike,
 
     cache_stats = merge_cache_stats(r.cache_stats for r in results
                                     if r.cache_stats)
-    # queries actually executed this run: hit reports replay their
-    # original counters, which the cache tallies as queries_served
+    # a report served from the memo or a record counts no queries
     stats = {"wall_seconds": round(time.monotonic() - start, 3),
              "files": len(repo.file_digests),
              "files_parsed": repo.files_parsed,
@@ -520,7 +521,7 @@ def run_ci(root: str | os.PathLike,
              "clean": len(plan.clean),
              "classes": plan.counts(),
              "fingerprints_skipped": plan.fingerprints_skipped,
-             "queries": queries - cache_stats.get("queries_served", 0),
+             "queries": queries,
              "cache": cache_stats}
     return CiResult(plan=plan, manifest=manifest, delta=delta,
                     reports=reports, stats=stats)

@@ -7,8 +7,8 @@ runs the whole pipeline of the paper:
    havoc-returns knob, loop unrolling, return elimination,
    instrumentation);
 2. mine the predicate vocabulary Q (ignore-conditionals knob); a
-   (prepared procedure, Q) pair analyzed before in this process is
-   answered from the memo here;
+   (prepared procedure, Q) pair analyzed before in this process, or
+   recorded in the persistent cache, is answered here;
 3. build the incremental path encoding and the Dead/Fail oracle;
 4. compute the predicate cover ``β_Q(wp(pr, true))``;
 5. classify: abstract SIB if the cover creates dead code, else MAYBUG
@@ -68,15 +68,6 @@ class SibResult:
     oracle_stats: dict = field(default_factory=dict)
     solver_stats: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
-    # content-addressing ingredients the persistent analysis cache
-    # records next to the report (see repro.core.cache): the encoding
-    # summary, the raw predicate cover, and the vocabulary-independent
-    # baseline sets
-    enc_summary: dict = field(default_factory=dict)
-    cover: frozenset = frozenset()
-    dead_through_failures: bool = True
-    baseline_live: frozenset = frozenset()
-    baseline_fail_true: frozenset = frozenset()
 
     @property
     def n_warnings(self) -> int:
@@ -90,27 +81,25 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
                        unroll_depth: int = 2,
                        max_preds: int = 12,
                        lia_budget: int = 20000,
-                       prepared: Procedure | None = None,
+                       cache=None,
                        self_check: bool = False) -> SibResult:
     """Run Algorithm 1 for one procedure under one configuration.
 
     ``prune_k`` is the §4.3 clause-pruning bound (None = no pruning).
     ``max_preds`` caps |Q| (the cover enumeration is exponential in |Q|).
-    ``prepared`` may carry the already-lowered procedure (the analysis
-    cache lowers first to compute the content hash); it must equal
-    ``prepare_procedure(program, proc, config.havoc_returns,
-    unroll_depth)``.
     ``self_check`` certificate-checks every solver answer
     (:class:`repro.smt.api.CertificateError` on rejection).
     Budget exhaustion raises :class:`repro.core.deadfail.AnalysisTimeout`.
 
     The result is a function of the prepared procedure, Q, ``prune_k``
     and the solver settings (Def. 3), so a completed unchecked run is
-    memoized under them (`repro.core.deadfail`).  A memo hit returns the
-    recorded verdict under this call's procedure and configuration, and
-    reports no solver work: its query counters and ``solver_stats`` read
-    0.  A self-checked run always solves, so that its ``certificates``
-    are those of its own answers.
+    memoized under them (`repro.core.deadfail`), and with ``cache`` (an
+    `repro.core.cache.AnalysisCache`) recorded on disk under the same
+    key.  The memo is looked up first, then the disk.  A hit from either
+    returns the recorded verdict under this call's procedure and
+    configuration, and reports no solver work: its query counters and
+    ``solver_stats`` read 0.  A self-checked run always solves, so that
+    its ``certificates`` are those of its own answers.
     """
     if isinstance(proc, str):
         proc = program.proc(proc)
@@ -123,10 +112,9 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
         timings[phase] = timings.get(phase, 0.0) + (now - t0)
         t0 = now
 
-    if prepared is None:
-        prepared = prepare_procedure(program, proc,
-                                     havoc_returns=config.havoc_returns,
-                                     unroll_depth=unroll_depth)
+    prepared = prepare_procedure(program, proc,
+                                 havoc_returns=config.havoc_returns,
+                                 unroll_depth=unroll_depth)
     mark("lower")
     preds = mine_predicates(program, prepared,
                             ignore_conditionals=config.ignore_conditionals,
@@ -137,7 +125,7 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
         # the oracle below keeps the default Dead() semantics
         key = memo_key("analysis", procedure_fingerprint(program, prepared),
                        self_check, True, prune_k, tuple(preds))
-        recorded = memo_get(key)
+        recorded = memo_get(key, cache)
         if recorded is not None:
             return _detached(recorded, proc_name=proc.name, config=config,
                              queries=0, cache_hits=0, queries_saved=0,
@@ -163,12 +151,8 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
         result.oracle_stats = oracle.stats()
         result.solver_stats = enc.solver.stats()
         result.timings = timings
-        result.enc_summary = enc.summary()
-        result.dead_through_failures = oracle.dead_through_failures
-        result.baseline_live = oracle.live_locs
-        result.baseline_fail_true = conservative
         if complete and key is not None:
-            memo_store(key, _detached(result))
+            memo_store(key, _detached(result), cache)
         conservative_result(proc.name, oracle, conservative)
         return result
 
@@ -177,7 +161,6 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
         return finish()
     cover = predicate_cover(oracle)
     result.n_cover_clauses = len(cover)
-    result.cover = cover
     mark("cover")
     acs = find_almost_correct_specs(oracle, cover, prune_k=prune_k)
     mark("search")
@@ -213,8 +196,7 @@ def _zeroed(stats: dict) -> dict:
 #: frozensets and the configuration are immutable and stay shared.
 _COPIES = {"preds": list, "conservative_warnings": list, "warnings": list,
            "specs": list, "spec_formulas": list, "solver_stats": dict,
-           "timings": dict, "oracle_stats": copy.deepcopy,
-           "enc_summary": copy.deepcopy}
+           "timings": dict, "oracle_stats": copy.deepcopy}
 
 
 def _detached(res: SibResult, **changes) -> SibResult:

@@ -21,10 +21,9 @@ payload now lives here as a proper dataclass:
 * :func:`run_task` — the single dispatch point executed inside every
   worker, batch and server alike;
 * :func:`coalesce_key` — the content address the server coalesces
-  identical in-flight submissions and keys its hot tier on: the
-  persistent-cache key (post-elaboration AST fingerprint +
-  configuration fingerprint, see `repro.core.cache`) extended with the
-  budget knobs the cache deliberately excludes.
+  identical in-flight submissions and keys its hot tier on: a digest of
+  the task's kind, configuration, knobs and budgets and of its prepared
+  procedure's fingerprint.
 
 This module is deliberately import-light: the heavy analysis stack is
 imported lazily inside :func:`run_task`, so a freshly spawned worker
@@ -136,37 +135,19 @@ def _dispatch(task: AnalysisTask) -> TaskResult:
 
 
 def _run_cons(task: AnalysisTask, cache) -> TaskResult:
-    from ..lang.transform import prepare_procedure
     from .analysis import _BUDGET_ERRORS
     from .checker import check_procedure
     from .deadfail import Budget
-    prepared = None
-    key = None
-    # a self-checked result carries the certificates of its own answers,
-    # so it neither reads nor writes a record
-    use_records = cache is not None and not task.self_check
-    if use_records:
-        prepared = prepare_procedure(task.program,
-                                     task.program.proc(task.proc_name),
-                                     unroll_depth=task.unroll_depth)
-        key = cache.cons_key(task.program, prepared,
-                             unroll_depth=task.unroll_depth)
-        hit = cache.load_cons(key)
-        if hit is not None:
-            return TaskResult(kind="cons", proc_name=task.proc_name,
-                              cons_warnings=hit, cache_stats=cache.stats())
     try:
         res = check_procedure(task.program, task.proc_name,
                               budget=Budget(task.timeout),
                               unroll_depth=task.unroll_depth,
-                              lia_budget=task.lia_budget, prepared=prepared,
+                              lia_budget=task.lia_budget, cache=cache,
                               self_check=task.self_check)
     except _BUDGET_ERRORS:
         return TaskResult(kind="cons", proc_name=task.proc_name,
                           cons_warnings=[], cons_timed_out=True,
                           cache_stats=cache.stats() if cache else None)
-    if use_records:
-        cache.store_cons(key, res)
     return TaskResult(kind="cons", proc_name=task.proc_name,
                       cons_warnings=res.warnings,
                       cache_stats=cache.stats() if cache else None)
@@ -198,36 +179,37 @@ def coalesce_key(task: AnalysisTask) -> str:
     Two tasks with equal keys are guaranteed to produce bit-identical
     results, so the server runs one and hands the result to both, and
     its hot tier (`repro.serve.hotcache`) keys on the same string.  The
-    key is the persistent-cache content address (post-elaboration AST
-    fingerprint + budget-insensitive config fingerprint) **plus** the
-    budget knobs the cache deliberately leaves out — a request with a
-    different timeout may legitimately time out differently, so it
-    must not coalesce with a longer-budget twin.  Control kinds have no
-    content address and get a key that never coalesces.
+    key digests the task's kind, its configuration's name, ``prune_k``
+    and ``max_preds`` (``analyze`` tasks only: a Cons result depends on
+    none of them), ``unroll_depth``, the budgets, ``self_check``,
+    whether a cache directory is attached, and the fingerprint of the
+    procedure as the task prepares it.  The name stands for the
+    configuration, so a hot hit needs no renaming; the budgets are in
+    because a request with a different timeout may legitimately time
+    out differently, so it must not coalesce with a longer-budget twin.
+    Control kinds have no content address and get a key that never
+    coalesces.
     """
     from ..lang.transform import prepare_procedure
-    from .cache import analysis_cache_key, cons_cache_key
+    from ..vc.encode import procedure_fingerprint
     from .config import BY_NAME
     if task.kind in CONTROL_KINDS:
         return f"control:{task.kind}:{id(task)}"  # never coalesced
-    config = BY_NAME[task.config_name]
     if task.kind == "analyze":
-        prepared = prepare_procedure(task.program,
-                                     task.program.proc(task.proc_name),
-                                     havoc_returns=config.havoc_returns,
-                                     unroll_depth=task.unroll_depth)
-        base = analysis_cache_key(
-            task.program, prepared, config=config, prune_k=task.prune_k,
-            unroll_depth=task.unroll_depth, max_preds=task.max_preds)
+        havoc_returns = BY_NAME[task.config_name].havoc_returns
+        analysis = (f"config={task.config_name}", f"prune_k={task.prune_k}",
+                    f"max_preds={task.max_preds}")
     elif task.kind == "cons":
-        prepared = prepare_procedure(task.program,
-                                     task.program.proc(task.proc_name),
-                                     unroll_depth=task.unroll_depth)
-        base = cons_cache_key(task.program, prepared,
-                              unroll_depth=task.unroll_depth)
+        havoc_returns, analysis = False, ()
     else:
         raise ValueError(f"unknown task kind {task.kind!r}")
-    budget = (f"kind={task.kind};timeout={task.timeout};"
-              f"lia_budget={task.lia_budget};self_check={task.self_check};"
-              f"cache={'on' if task.cache_dir else 'off'}")
-    return hashlib.sha256(f"{base}\x00{budget}".encode()).hexdigest()
+    prepared = prepare_procedure(task.program,
+                                 task.program.proc(task.proc_name),
+                                 havoc_returns=havoc_returns,
+                                 unroll_depth=task.unroll_depth)
+    parts = (f"kind={task.kind}", *analysis,
+             f"unroll_depth={task.unroll_depth}", f"timeout={task.timeout}",
+             f"lia_budget={task.lia_budget}", f"self_check={task.self_check}",
+             f"cache={'on' if task.cache_dir else 'off'}",
+             procedure_fingerprint(task.program, prepared))
+    return hashlib.sha256("\x00".join(parts).encode()).hexdigest()

@@ -286,7 +286,8 @@ def incremental_vs_naive(program: Program, rng: random.Random,
 def cached_vs_uncached(program: Program, rng: random.Random,
                        self_check: bool = True) -> str | None:
     """``analyze_procedure`` must report the same result uncached, on a
-    cache miss (fresh solve + store) and on the subsequent hit.  Only
+    cache miss (fresh solve + store) and on the subsequent hit, read
+    from the record by a run that starts from an empty memo.  Only
     unchecked runs read or write records, so ``self_check`` applies to
     the uncached run alone.
 
@@ -300,6 +301,7 @@ def cached_vs_uncached(program: Program, rng: random.Random,
     clear_baseline_cache()  # the miss must solve, not hit the memo
     with tempfile.TemporaryDirectory(prefix="repro-fuzz-cache-") as tmp:
         miss = _fields(analyze_procedure(program, name, cache=tmp, **kwargs))
+        clear_baseline_cache()  # the hit must read the record
         hit = _fields(analyze_procedure(program, name, cache=tmp, **kwargs))
     if miss != uncached:
         return f"cache-miss run differs from uncached: {miss} vs {uncached}"

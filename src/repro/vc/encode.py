@@ -130,17 +130,6 @@ class EncodedProcedure:
                                                            self.proc)
         return fp
 
-    def summary(self) -> dict:
-        """A JSON-able structural summary of the encoding — what the
-        persistent cache records next to the analysis result so a record
-        can be sanity-checked without rebuilding the solver."""
-        return {
-            "fingerprint": self.fingerprint(),
-            "n_asserts": len(self.assert_events),
-            "n_locs": len(self.loc_events),
-            "assert_labels": [ev.label for ev in self.assert_events],
-        }
-
     # ------------------------------------------------------------------
     # naming helpers
     # ------------------------------------------------------------------

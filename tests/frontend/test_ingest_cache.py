@@ -355,7 +355,10 @@ def test_warm_ingest_equals_cold_under_edits(warm_fixture, ops):
         # with the parse and declaration records as without them: run a
         # may take the fast path against the fixture's manifest; run b
         # starts from the same manifest with only the analysis records
-        # run a left, so it parses every file and replays a's analyses.
+        # run a left, so it parses every file and is served a's
+        # analyses.  A served procedure's manifest ``wall`` is its own
+        # lookup time, so the comparison leaves walls out (a known
+        # defect, pinned in tests/core/test_incremental.py).
         a = _ci_or_error(repo, tmp / "a.json", cache)
         b_cache = tmp / "b-cache"
         shutil.copytree(cache, b_cache,
@@ -367,10 +370,17 @@ def test_warm_ingest_equals_cold_under_edits(warm_fixture, ops):
         assert not isinstance(a, IngestError), str(a)
         assert a.stats["files_parsed"] == 0
         assert b.stats["files_parsed"] == b.stats["files"]
-        assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
+        assert _without_walls(tmp / "a.json") == _without_walls(tmp / "b.json")
         assert render_delta(a.delta) == render_delta(b.delta)
         assert a.plan.classes == b.plan.classes
         assert a.plan.order == b.plan.order
+
+
+def _without_walls(path: Path) -> dict:
+    manifest = json.loads(path.read_text())
+    for entry in manifest["procedures"].values():
+        assert entry.pop("wall") >= 0.0
+    return manifest
 
 
 def _ci_or_error(repo: Path, manifest: Path, cache: Path):

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Documentation checks, run by `tests/test_docs.py` and the CI docs job.
 
-1. **Link check**: every relative markdown link in README.md and
-   docs/*.md must resolve to an existing file (anchors are stripped;
-   absolute URLs and mailto: are skipped).
+1. **Link check**: every relative markdown link in README.md,
+   DESIGN.md and docs/*.md must resolve to an existing file (anchors
+   are stripped; absolute URLs and mailto: are skipped).
 2. **Snippet check**: every fenced ```python block must be valid Python
    (a `compileall`-style syntax check; snippets are compiled, never
    executed).
@@ -12,14 +12,17 @@
    architecture.md, cli.md and ci_mode.md, and must link back to the
    CLI page that documents its flags.  A doc restructure that orphans
    a page fails here, not in a reader's dead end.
-4. **Path check**: every repo path named in inline code in README.md
-   and docs/*.md must exist.  A repo path is a whitespace-separated
+4. **Path check**: every repo path named in inline code in README.md,
+   DESIGN.md and docs/*.md must exist.  A repo path is a whitespace-separated
    token that starts with ``src/``, ``tests/``, ``tools/``,
    ``benchmarks/``, ``docs/`` or ``examples/``, or names a root file
    such as ``DESIGN.md``; a ``::test`` or ``:line`` suffix and a
    ``#anchor`` are dropped, and tokens with a ``*``, ``<``, ``>``,
    ``{`` or ``$`` (patterns and placeholders) are skipped.  Deleting a
    file without updating the pages that name it fails here.
+
+ROADMAP.md, CHANGES.md and EXPERIMENTS.md are logs: they name deleted
+files on purpose, so none of the checks reads them.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 """
@@ -49,7 +52,8 @@ _PLACEHOLDER = set("*<>{$")
 
 
 def doc_files() -> list[Path]:
-    return [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
+    return [REPO / "README.md", REPO / "DESIGN.md"] + sorted(
+        (REPO / "docs").glob("*.md"))
 
 
 def check_links(path: Path) -> list[str]:
