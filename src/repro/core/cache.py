@@ -54,7 +54,8 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from ..lang.ast import Procedure, Program
-from ..lang.codec import LAYOUT_DIGEST, decode, decode_program, encode
+from ..lang.codec import (LAYOUT_DIGEST, decode, decode_program,
+                          decode_program_lazily, encode)
 # kept for the e2e benchmark's tracer, which wraps this name
 from ..vc.encode import procedure_fingerprint  # noqa: F401
 from .config import AbstractionConfig
@@ -305,23 +306,20 @@ class AnalysisCache:
 
     def load_decls(self, key: str) -> tuple[Program, dict] | None:
         """The declaration record under ``key`` (see
-        :func:`repro.frontend.ingest.declarations`): a ``Program`` whose
-        procedures are all body-less stubs, and ``procedure -> sorted
-        callees`` for those that have a body.  ``None`` when absent or
-        malformed (the latter counted as an invalidation)."""
+        :func:`repro.frontend.ingest.declarations`): a ``Program`` that
+        holds each procedure's stub still encoded, for
+        :meth:`decode_stub`, and ``procedure -> sorted callees`` for
+        those that have a body.  ``None`` when absent or malformed (the
+        latter counted as an invalidation)."""
         rec = self._read(key, "decls")
         if rec is None:
             return None
         try:
-            program = decode_program(rec["program"])
+            program = decode_program_lazily(rec["program"])
             callees = decode(rec["callees"])
             if not all(type(part) is dict for part in (
-                    program.globals, program.functions, program.procedures,
-                    callees)):
+                    program.globals, program.functions, callees)):
                 raise ValueError("declaration tables are not dicts")
-            if any(type(proc) is not Procedure or proc.body is not None
-                   for proc in program.procedures.values()):
-                raise ValueError("a declaration is not a body-less stub")
             if any(name not in program.procedures or type(names) is not tuple
                    or not all(type(n) is str for n in names)
                    for name, names in callees.items()):
@@ -331,6 +329,19 @@ class AnalysisCache:
             return None
         self.hits += 1
         return program, callees
+
+    def decode_stub(self, data) -> Procedure | None:
+        """One stub of a :meth:`load_decls` program, decoded, or
+        ``None`` when it is not a body-less ``Procedure`` (counted as an
+        invalidation)."""
+        try:
+            proc = decode(data)
+        except (TypeError, ValueError, RecursionError):
+            proc = None
+        if type(proc) is Procedure and proc.body is None:
+            return proc
+        self.invalidations += 1
+        return None
 
     def store_decls(self, key: str, stubs: Program, callees: dict) -> None:
         """Persist one file's declarations under ``key``."""

@@ -47,14 +47,14 @@ def check_procedure(program: Program, proc: Procedure | str,
     if isinstance(proc, str):
         proc = program.proc(proc)
     prepared = prepare_procedure(program, proc, unroll_depth=unroll_depth)
+    fingerprint = None
     if not self_check:
-        recorded = memo_get(memo_key(
-            "cons", procedure_fingerprint(program, prepared), self_check),
-            cache)
+        fingerprint = procedure_fingerprint(program, prepared)
+        recorded = memo_get(memo_key("cons", fingerprint, self_check), cache)
         if recorded is not None:
             return _detached(recorded, proc.name)
     enc = EncodedProcedure(program, prepared, lia_budget=lia_budget,
-                           self_check=self_check)
+                           self_check=self_check, fingerprint=fingerprint)
     oracle = DeadFailOracle(enc, [], budget=budget)
     return conservative_result(proc.name, oracle, oracle.conservative_fail(),
                                cache)

@@ -10,8 +10,9 @@ affect, not for the whole repo.  This module is that driver:
    instead (``stats["files_parsed"]`` counts the files that were not,
    ``stats["files_decoded"]`` the records decoded).  Given the previous
    manifest as well, ingest loads only the files whose digest changed
-   and stands in for the others with the body-less stubs of their
-   declaration records; the plan then carries those files'
+   and reads the others' declaration records, decoding a body-less
+   stub only where a loaded procedure calls it
+   (``stats["stubs_decoded"]``); the plan then carries those files'
    fingerprints over from the manifest.
 
 2. **Fingerprint.**  Every procedure with a body gets a *surface
@@ -51,8 +52,8 @@ affect, not for the whole repo.  This module is that driver:
    :class:`~repro.serve.pool.WorkerPool`, whose priority queue honors
    the same ranks; ``jobs=1`` runs them serially in plan order.
 
-5. **Report.**  The new manifest is written back (sorted keys, so it
-   is byte-stable), and the run carries a *warning delta* against the
+5. **Report.**  The new manifest is written back (compact JSON with
+   sorted keys, so it is byte-stable), and the run carries a *warning delta* against the
    previous manifest — new / fixed / unchanged warnings per confidence
    class (``high`` = ACSpec warnings, ``cons`` = the conservative
    verifier's) — rendered canonically by :func:`render_delta` so CI
@@ -138,17 +139,17 @@ def load_manifest(path: str | os.PathLike) -> dict | None:
 
 
 def save_manifest(path: str | os.PathLike, manifest: dict) -> None:
-    """Atomic write-then-rename with sorted keys: re-saving an
-    identical run produces identical bytes, and a crashed run can never
-    leave a truncated manifest behind."""
+    """Atomic write-then-rename of compact JSON with sorted keys:
+    re-saving an identical run produces identical bytes, and a crashed
+    run can never leave a truncated manifest behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-manifest-",
                                suffix=".json")
-    # one write of json.dumps: the same bytes as json.dump, which makes
-    # many small writes
+    # no indent: json.dumps then runs the C encoder, which an indent
+    # turns off
     with os.fdopen(fd, "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
     os.replace(tmp, path)
 
 
@@ -217,7 +218,7 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
     planning-time saving: the dirty-set classification is unchanged,
     because an untouched file's fingerprints cannot have moved."""
     program = repo.program
-    bodied = [n for n in program.procedures if repo.has_body(n)]
+    bodied = [n for n in repo.proc_files if repo.has_body(n)]
     has_body = set(bodied)
     cfg = config_fingerprint(config, prune_k=prune_k,
                              unroll_depth=unroll_depth, max_preds=max_preds,
@@ -240,9 +241,8 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
     if plan.reason == "diff":
         touched = repo.loaded if repo.loaded is not None else (
             None if changed_files is None else set(changed_files))
-    for name, proc in program.procedures.items():
-        untouched = (touched is not None
-                     and repo.proc_files.get(name) not in touched)
+    for name, rel in repo.proc_files.items():
+        untouched = touched is not None and rel not in touched
         if untouched and name in prev_spec \
                 and (name not in has_body
                      or prev_procs.get(name, {}).get("surface_fp")):
@@ -251,7 +251,8 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
             plan.spec_fps[name] = prev_spec[name]
             plan.fingerprints_skipped += 1
             continue
-        if name in repo.stub_callees:
+        proc = program.procedures.get(name)
+        if proc is None or name in repo.stub_callees:
             raise ValueError(f"no fingerprint of stubbed procedure "
                              f"{name!r}: plan against the manifest the "
                              f"ingest read")
@@ -378,8 +379,8 @@ class CiResult:
     delta: dict
     #: fresh ProcedureReports for the dirty set, in plan order
     reports: dict = field(default_factory=dict)
-    #: wall_seconds / files_parsed / files_decoded / analyzed / clean /
-    #: queries / cache counters
+    #: wall_seconds / files_parsed / files_decoded / stubs_decoded /
+    #: analyzed / clean / queries / cache counters
     stats: dict = field(default_factory=dict)
 
     @property
@@ -516,6 +517,7 @@ def run_ci(root: str | os.PathLike,
              "files": len(repo.file_digests),
              "files_parsed": repo.files_parsed,
              "files_decoded": repo.files_decoded,
+             "stubs_decoded": repo.stubs_decoded,
              "procedures": len(procedures),
              "analyzed": len(plan.order),
              "clean": len(plan.clean),

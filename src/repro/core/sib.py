@@ -120,11 +120,12 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
                             ignore_conditionals=config.ignore_conditionals,
                             max_preds=max_preds)
     mark("mine")
-    key = None
+    key = fingerprint = None
     if not self_check:
+        fingerprint = procedure_fingerprint(program, prepared)
         # the oracle below keeps the default Dead() semantics
-        key = memo_key("analysis", procedure_fingerprint(program, prepared),
-                       self_check, True, prune_k, tuple(preds))
+        key = memo_key("analysis", fingerprint, self_check, True, prune_k,
+                       tuple(preds))
         recorded = memo_get(key, cache)
         if recorded is not None:
             return _detached(recorded, proc_name=proc.name, config=config,
@@ -133,7 +134,7 @@ def find_abstract_sibs(program: Program, proc: Procedure | str,
                              solver_stats=_zeroed(recorded.solver_stats),
                              timings=timings)
     enc = EncodedProcedure(program, prepared, lia_budget=lia_budget,
-                           self_check=self_check)
+                           self_check=self_check, fingerprint=fingerprint)
     mark("encode")
     oracle = DeadFailOracle(enc, preds, budget=budget)
     conservative = oracle.conservative_fail()

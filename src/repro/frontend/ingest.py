@@ -33,15 +33,18 @@ lowered again.
 With a declaration cache as well (rooted at ``<cache-dir>/decls``) and
 the previous CI manifest, ingest takes the *fast path*: only the files
 whose digest differs from the manifest's are parsed or decoded and
-typechecked, and every other file contributes the body-less stubs of
-its declaration record (:func:`declarations`).  Call elaboration
-(§2.1) inlines only a callee's spec, so the stubs are all a changed
-procedure's analysis reads.  Any change another file could see (a
-global or function added, removed or retyped; a procedure that a stub
-calls gone or respecified; a name collision; a record missing or
-malformed; a changed file that does not parse or typecheck) makes the
-fast path give way to the full ingest, which reports every error
-exactly as before.
+typechecked.  Every other file is read from its declaration record
+(:func:`declarations`) for its globals, functions, procedure names and
+callee lists, and the body-less stub of one of its procedures is
+decoded only when a loaded procedure calls it.  Call elaboration (§2.1)
+inlines only a callee's spec, so those stubs are all a changed
+procedure's analysis and typecheck read; the planner takes every other
+name from ``proc_files`` and ``stub_callees``.  Any change another file
+could see (a global or function added, removed or retyped; a procedure
+that another file calls gone or respecified; a name collision; a record
+missing or malformed; a changed file that does not parse or typecheck)
+makes the fast path give way to the full ingest, which reports every
+error exactly as before.
 """
 
 from __future__ import annotations
@@ -81,25 +84,31 @@ class IngestedRepo:
     #: parse records this ingest decoded
     files_decoded: int = 0
     #: on the fast path, the files whose procedures ``program`` holds in
-    #: full (the others' are stubs); ``None`` when it holds every file's
+    #: full; of every other file it holds only the stubs of procedures a
+    #: loaded procedure calls.  ``None`` when it holds every procedure
+    #: of every file
     loaded: frozenset | None = None
-    #: stub standing for a procedure with a body -> its sorted direct
+    #: procedure with a body in a file not loaded -> its sorted direct
     #: callees, as its declaration record stored them
     stub_callees: dict = field(default_factory=dict)
+    #: stubs decoded from the declaration records of files not loaded
+    stubs_decoded: int = 0
 
     @property
     def files(self) -> list[str]:
         return sorted(self.file_digests)
 
     def has_body(self, name: str) -> bool:
-        """Whether procedure ``name`` has a body in its source (a stub
-        in ``program`` may stand for one)."""
-        return name in self.stub_callees \
-            or self.program.procedures[name].body is not None
+        """Whether procedure ``name`` has a body in its source (``program``
+        may hold a stub of it, or nothing)."""
+        if name in self.stub_callees:
+            return True
+        proc = self.program.procedures.get(name)
+        return proc is not None and proc.body is not None
 
     def call_graph(self) -> dict:
         """``caller -> sorted direct callees`` over every procedure
-        with a body, stubs included."""
+        with a body, including those of files not loaded."""
         graph = dict(self.stub_callees)
         for name, proc in self.program.procedures.items():
             if proc.body is not None:
@@ -266,9 +275,12 @@ def _ingest_changed(root: Path, sources: list, loader: _Loader,
     if not all(isinstance(d, dict)
                for d in (prev_files, prev_spec, prev_procs)):
         return None
+    # the loaded files' programs, and the other files' declarations
+    # with every stub still encoded
     parts: list[tuple[str, Program]] = []
     loaded: set = set()
     stub_callees: dict = {}
+    keys: dict = {}     # file not loaded -> its record key
     for src in sources:
         if prev_files.get(src.rel) != src.digest:
             try:
@@ -277,7 +289,7 @@ def _ingest_changed(root: Path, sources: list, loader: _Loader,
                 return None
             loaded.add(src.rel)
             continue
-        key = loader.key(src.digest, src.suffix)
+        key = keys[src.rel] = loader.key(src.digest, src.suffix)
         record = decls.load_decls(key)
         if record is None:
             loader.stale.add(key)
@@ -304,31 +316,56 @@ def _ingest_changed(root: Path, sources: list, loader: _Loader,
                 return None
             before.append((rel, record[0]))
     try:
-        program, proc_files = merge_programs(parts)
+        merged, proc_files = merge_programs(parts)
         previous_program, _ = merge_programs(
             [part for part in parts if part[0] not in loaded] + before)
     except IngestError:
         return None
     if (previous_program.globals, previous_program.functions) != \
-            (program.globals, program.functions):
+            (merged.globals, merged.functions):
         return None
-    respecified = {name for _, old in before
-                   for name, stub in old.procedures.items()
-                   if name not in program.procedures
-                   or spec_stub(program.procedures[name]) != stub}
-    if respecified and any(not respecified.isdisjoint(callees)
-                           for callees in stub_callees.values()):
-        return None
+    # Every procedure that a file not loaded calls keeps its spec.  The
+    # merge above left each such procedure of ``before`` in a loaded
+    # file or nowhere.
+    called_by_stubs = {name for names in stub_callees.values()
+                       for name in names}
+    for _, old in before:
+        for name, encoded in old.procedures.items():
+            if name in called_by_stubs:
+                stub = decls.decode_stub(encoded)
+                if stub is None or proc_files.get(name) not in loaded or \
+                        spec_stub(merged.procedures[name]) != stub:
+                    return None
+
+    # The loaded files' procedures, and the stubs they call.
+    held = [name for name, rel in proc_files.items() if rel in loaded]
+    called = {callee for name in held
+              if merged.procedures[name].body is not None
+              for callee in stmt_callees(merged.procedures[name].body)}
+    procedures: dict = {}
+    decoded = 0
+    for name, rel in proc_files.items():
+        if rel in loaded:
+            procedures[name] = merged.procedures[name]
+        elif name in called:
+            stub = decls.decode_stub(merged.procedures[name])
+            if stub is None:
+                loader.stale.add(keys[rel])
+                return None
+            procedures[name] = stub
+            decoded += 1
+    program = Program(globals=merged.globals, functions=merged.functions,
+                      procedures=procedures)
     try:
-        typecheck(program, [name for name, rel in proc_files.items()
-                            if rel in loaded])
+        typecheck(program, held)
     except (TypeError, ValueError):
         return None
     return IngestedRepo(root=root, program=program,
                         file_digests={s.rel: s.digest for s in sources},
                         proc_files=proc_files, files_parsed=loader.parsed,
                         files_decoded=loader.decoded,
-                        loaded=frozenset(loaded), stub_callees=stub_callees)
+                        loaded=frozenset(loaded), stub_callees=stub_callees,
+                        stubs_decoded=decoded)
 
 
 def ingest_paths(root: str | Path, paths: list[Path],

@@ -101,3 +101,23 @@ def decode_program(data) -> Program:
     if type(program) is not Program:
         raise ValueError("record does not hold a Program")
     return program
+
+
+def decode_program_lazily(data) -> Program:
+    """:func:`decode_program`, except that each procedure stays encoded
+    under its name (in order) for the caller to :func:`decode` when it
+    reads it."""
+    body = data.get("Program") if type(data) is dict and len(data) == 1 \
+        else None
+    if type(body) is not list or len(body) != len(_FIELDS[Program]):
+        raise ValueError("record does not hold a Program")
+    values = dict(zip(_FIELDS[Program], body))
+    table = values.pop("procedures")
+    pairs = table.get("dict") if type(table) is dict and len(table) == 1 \
+        else None
+    if type(pairs) is not list or not all(
+            type(pair) is list and len(pair) == 2 and type(pair[0]) is str
+            for pair in pairs):
+        raise ValueError("procedures are not a table by name")
+    return Program(**{k: decode(v) for k, v in values.items()},
+                   procedures=dict(pairs))

@@ -1,16 +1,26 @@
-"""Lexer for the mini-Boogie surface syntax."""
+"""Lexer for the mini-Boogie surface syntax.
+
+One compiled pattern scans the source.  The token rules are those of
+``str.isdigit``, ``isalpha`` and ``isalnum``.  The pattern's classes
+are ASCII but for ``\\w``, which in a ``str`` pattern is exactly
+``isalnum`` or ``_``; beyond ASCII, ``\\d`` and the others do not match
+the predicates exactly (``2²`` is one ``int`` token).  So where the
+pattern matches nothing, at a non-ASCII character or at an ASCII number
+that one follows, :func:`_scan_unmatched` scans the token with the
+predicates or raises the :class:`LexError`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 
 class LexError(SyntaxError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # 'id', 'int', 'punct', 'kw', 'eof'
     text: str
     line: int
@@ -33,69 +43,80 @@ PUNCT = [
     "!", "=",
 ]
 
+#: An identifier continues with ``isalnum`` characters, ``_``, ``$``,
+#: ``.`` and ``!``, and does not end with ``.`` or ``!``.
+_ID_TAIL = r"[\w$]*(?:[.!]+[\w$]+)*"
+
+_TOKEN = re.compile("|".join([
+    r"(?P<space>[ \t\r]+)",
+    rf"(?P<id>[A-Za-z_$]{_ID_TAIL})",
+    "(?P<punct>" + "|".join(map(re.escape, PUNCT)) + ")",
+    r"(?P<newline>\n)",
+    r"(?P<int>[0-9]+)(?![0-9]|[^\x00-\x7f])",
+    r"(?P<comment>//[^\n]*)",
+    r"(?P<block>/\*(?s:.*?)\*/)",
+]))
+
+
+def _scan_unmatched(src: str, i: int, line: int,
+                    col: int) -> tuple[str, int]:
+    """``(kind, end)`` of the token at ``src[i]``, where the pattern
+    matched nothing, or :class:`LexError`."""
+    c = src[i]
+    j = i + 1
+    n = len(src)
+    if c.isdigit():
+        while j < n and src[j].isdigit():
+            j += 1
+        return "int", j
+    if c.isalpha():  # an id: every keyword is ASCII
+        while j < n and (src[j].isalnum() or src[j] in "_$.!"):
+            j += 1
+        while src[j - 1] in ".!":
+            j -= 1
+        return "id", j
+    if src.startswith("/*", i):
+        raise LexError(f"unterminated comment at line {line}")
+    raise LexError(f"unexpected character {c!r} at line {line}, col {col}")
+
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
+    append = toks.append
+    match = _TOKEN.match
+    n = len(src)
     i = 0
     line = 1
-    col = 1
-    n = len(src)
+    bol = 0         # index of the current line's first character
+    eof_at = n      # where the end-of-file token sits
     while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
+        m = match(src, i)
+        kind = m.lastgroup if m is not None else None
+        if kind == "space":
+            i = m.end()
+        elif kind == "newline":
+            i = bol = i + 1
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if src.startswith("/*", i):
-            end = src.find("*/", i + 2)
-            if end < 0:
-                raise LexError(f"unterminated comment at line {line}")
-            skipped = src[i:end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], line, col))
-            col += j - i
+        elif kind == "comment":
+            j = m.end()
+            if j == n:
+                eof_at = i  # a trailing line comment leaves the column
             i = j
-            continue
-        if c.isalpha() or c in "_$":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_$.!"):
-                j += 1
-            text = src[i:j]
-            # identifiers may not end with '.' or '!'
-            while text and text[-1] in ".!":
-                text = text[:-1]
-                j -= 1
-            kind = "kw" if text in KEYWORDS else "id"
-            toks.append(Token(kind, text, line, col))
-            col += j - i
+        elif kind == "block":
+            j = m.end()
+            newlines = src.count("\n", i, j)
+            if newlines:
+                line += newlines
+                bol = src.rfind("\n", i, j) + 1
             i = j
-            continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
         else:
-            raise LexError(f"unexpected character {c!r} at line {line}, col {col}")
-    toks.append(Token("eof", "", line, col))
+            if kind is None:
+                kind, j = _scan_unmatched(src, i, line, i - bol + 1)
+            else:
+                j = m.end()
+            text = src[i:j]
+            append(Token("kw" if kind == "id" and text in KEYWORDS else kind,
+                         text, line, i - bol + 1))
+            i = j
+    append(Token("eof", "", line, eof_at - bol + 1))
     return toks

@@ -93,11 +93,15 @@ class EncodedProcedure:
     """The queryable encoding of one prepared procedure."""
 
     def __init__(self, program: Program, proc: Procedure,
-                 lia_budget: int = 20000, self_check: bool = False):
+                 lia_budget: int = 20000, self_check: bool = False,
+                 fingerprint: str | None = None):
+        """``fingerprint``, when the caller has computed it, is
+        :func:`procedure_fingerprint` of ``proc`` in ``program``."""
         if proc.body is None:
             raise ValueError(f"procedure {proc.name} has no body")
         self.program = program
         self.proc = proc
+        self._fingerprint = fingerprint
         self.factory = TermFactory()
         # self_check turns on certificate validation: every unsat answer
         # must carry a checker-accepted DRUP proof, every sat answer a
@@ -122,13 +126,12 @@ class EncodedProcedure:
 
     def fingerprint(self) -> str:
         """:func:`procedure_fingerprint` of this encoding's procedure,
-        computed once and cached (the AST ``repr`` walk is linear in the
+        computed at most once (the AST ``repr`` walk is linear in the
         body and the fingerprint is consulted on every oracle birth)."""
-        fp = getattr(self, "_fingerprint", None)
-        if fp is None:
-            fp = self._fingerprint = procedure_fingerprint(self.program,
-                                                           self.proc)
-        return fp
+        if self._fingerprint is None:
+            self._fingerprint = procedure_fingerprint(self.program,
+                                                      self.proc)
+        return self._fingerprint
 
     # ------------------------------------------------------------------
     # naming helpers

@@ -7,12 +7,14 @@ the budget — is served from another run's entry, and a self-checked run
 always solves."""
 
 import shutil
+from pathlib import Path
 
 import pytest
 
 import repro.core.checker as checker_mod
 import repro.core.deadfail as deadfail
 import repro.core.sib as sib_mod
+import repro.vc.encode as encode_mod
 from repro.bench import make_suite
 from repro.bench.runner import compile_suite
 from repro.core import (A0, A1, A2, CONC, analyze_procedure,
@@ -25,6 +27,8 @@ from repro.lang import parse_program, typecheck
 from repro.smt.tuning import tuning
 
 from .test_incremental import FIXTURE
+
+FIGURE1 = Path(__file__).resolve().parents[2] / "examples" / "figure1.bpl"
 
 VERDICT = ("status", "warnings", "conservative_warnings", "bug_classes",
            "specs", "n_preds", "n_cover_clauses")
@@ -127,6 +131,27 @@ def test_content_identical_procedure_is_a_hit(encodings):
     assert res.proc_name == "second"
     check_procedure(program, "second")
     assert encodings == ["first"]
+
+
+def test_each_miss_hashes_the_procedure_once(monkeypatch):
+    """The memo key's fingerprint is the encoding's: an analysis miss
+    and a Cons miss each hash the prepared procedure once."""
+    hashed = []
+    real = encode_mod.procedure_fingerprint
+
+    def counting(program, proc):
+        hashed.append(proc.name)
+        return real(program, proc)
+
+    for module in (encode_mod, sib_mod, checker_mod):
+        monkeypatch.setattr(module, "procedure_fingerprint", counting)
+    program = typecheck(parse_program(FIGURE1.read_text()))
+    analyze_procedure(program, "Foo")
+    assert hashed == ["Foo"]
+    clear_baseline_cache()
+    hashed.clear()
+    check_procedure(program, "Foo")
+    assert hashed == ["Foo"]
 
 
 @pytest.mark.parametrize("change", ["self_check", "prune_k", "tuning"])

@@ -448,16 +448,33 @@ class TestManifestIO:
         save_manifest(path, loaded)
         assert path.read_bytes() == first
 
-    def test_single_write_matches_the_streaming_writer(self, tmp_path):
-        """``save_manifest`` writes ``json.dumps`` in one call; its bytes
-        are those of the ``json.dump`` file-handle writer it replaced,
-        kept here as the reference."""
+    def test_manifest_is_compact_sorted_json(self, tmp_path):
+        """No indent, so ``json.dumps`` runs the C encoder; sorted keys,
+        so identical runs write identical bytes."""
         manifest = run_ci(make_repo(tmp_path), tmp_path / "m.json").manifest
-        reference = tmp_path / "reference.json"
-        with open(reference, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        assert (tmp_path / "m.json").read_bytes() == reference.read_bytes()
+        assert (tmp_path / "m.json").read_text() == \
+            json.dumps(manifest, sort_keys=True) + "\n"
+
+    def test_indented_manifest_reads_as_warm(self, tmp_path):
+        """A manifest written with ``indent=2``, as earlier versions
+        wrote it, is the same manifest: a no-edit re-run takes the fast
+        path and analyzes nothing."""
+        repo = make_repo(tmp_path)
+        path = tmp_path / "m.json"
+        cache_dir = str(tmp_path / "cache")
+        cold = run_ci(repo, path, cache_dir=cache_dir)
+        path.write_text(json.dumps(cold.manifest, indent=2, sort_keys=True)
+                        + "\n")
+        rerun = run_ci(repo, path, cache_dir=cache_dir)
+        assert rerun.plan.reason == "diff"
+        assert rerun.stats["analyzed"] == 0
+        assert (rerun.stats["files_parsed"], rerun.stats["files_decoded"],
+                rerun.stats["stubs_decoded"]) == (0, 0, 0)
+        assert rerun.stats["fingerprints_skipped"] == \
+            cold.stats["procedures"]
+        assert rerun.manifest == cold.manifest
+        assert path.read_text() == \
+            json.dumps(cold.manifest, sort_keys=True) + "\n"
 
     def test_wrong_schema_or_garbage_reads_as_cold(self, tmp_path):
         path = tmp_path / "m.json"

@@ -31,6 +31,8 @@ from repro.core.incremental import load_manifest, render_delta, run_ci
 from repro.frontend.ingest import IngestError, discover_sources, \
     ingest_directory
 from repro.lang import parse_program
+from repro.lang.ast import stmt_callees
+from repro.lang.transform import spec_stub
 from repro.scenarios.classes import ALL_CLASSES, DEFAULT_CLASSES
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "ci_repo"
@@ -211,6 +213,69 @@ def test_corrupt_declaration_record_falls_back(tmp_path):
     assert fast.loaded == frozenset()
     assert (fast.files_parsed, fast.files_decoded) == (0, 0)
     assert again.invalidations == 0 and again.hits == 4
+
+
+@pytest.mark.parametrize("edited", ["alloc.bpl", "buggy.bpl", "main.bpl",
+                                    "util.bpl"])
+def test_fast_path_holds_only_the_stubs_it_calls(tmp_path, edited):
+    """After a one-file edit the fast path holds that file's procedures
+    and, decoded, the stubs of the procedures they call in other files
+    (``main.bpl``'s ``Main`` calls ``alloc.bpl``'s ``Release``); every
+    other name it answers from the declaration records, as the full
+    ingest does."""
+    repo = make_repo(tmp_path)
+    cache = tmp_path / "cache"
+    run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
+    path = repo / edited
+    path.write_text(path.read_text() + "// edited\n")
+    fast = ingest_directory(repo, cache=AnalysisCache(cache / "parse"),
+                            decls=AnalysisCache(cache / "decls"),
+                            previous=load_manifest(tmp_path / "m.json"))
+    full = ingest_directory(repo)
+    assert fast.loaded == {edited}
+    assert fast.proc_files == full.proc_files
+    procs = full.program.procedures
+    own = {name for name, rel in full.proc_files.items() if rel == edited}
+    calls = {callee for name in own if procs[name].body is not None
+             for callee in stmt_callees(procs[name].body)} - own
+    assert set(fast.program.procedures) == own | calls
+    assert fast.stubs_decoded == len(calls) == (edited == "main.bpl")
+    for name in own:
+        assert fast.program.procedures[name] == procs[name]
+    for name in calls:
+        assert fast.program.procedures[name] == spec_stub(procs[name])
+    assert {name: fast.has_body(name) for name in procs} == \
+        {name: full.has_body(name) for name in procs}
+    assert fast.call_graph() == full.call_graph()
+
+
+def test_corrupt_stub_falls_back_once_called(tmp_path):
+    """A stub is decoded, and so found malformed, only when a loaded
+    procedure calls it; the full ingest then overwrites its record."""
+    repo = make_repo(tmp_path)
+    cache = tmp_path / "cache"
+    run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
+    previous = load_manifest(tmp_path / "m.json")
+    record = next(
+        path for path in (cache / "decls").glob("*.json")
+        if json.loads(path.read_text())["program"]["Program"][2]["dict"]
+        [0][0] == "Release")
+    good = record.read_text()
+    record.write_text(good.replace('"Procedure"', '"Popen"'))
+
+    def ingest(edited):
+        path = repo / edited
+        path.write_text(path.read_text() + "// edited\n")
+        decls = AnalysisCache(cache / "decls")
+        return decls, ingest_directory(
+            repo, cache=AnalysisCache(cache / "parse"), decls=decls,
+            previous=previous)
+
+    decls, fast = ingest("util.bpl")  # calls nothing
+    assert fast.loaded == {"util.bpl"} and decls.invalidations == 0
+    decls, full = ingest("main.bpl")  # calls Release
+    assert full.loaded is None and decls.invalidations == 1
+    assert record.read_text() == good
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Lexer, type checker, and pretty-printer round-trip tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.lang.lexer import LexError, Token, tokenize
+from repro.lang.lexer import KEYWORDS, PUNCT, LexError, tokenize
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pp_program
 from repro.lang.typecheck import TypeError_, typecheck
@@ -45,6 +46,105 @@ class TestLexer:
     def test_numbers(self):
         toks = tokenize("123 0 42")
         assert [t.kind for t in toks[:-1]] == ["int"] * 3
+
+    @pytest.mark.parametrize("src,expected", [
+        ("a /* one\ntwo\n  */ b", [("id", "a", 1, 1), ("id", "b", 3, 6),
+                                   ("eof", "", 3, 7)]),
+        ("/* x */\tb\r c", [("id", "b", 1, 9), ("id", "c", 1, 12),
+                            ("eof", "", 1, 13)]),
+        ("x!= y", [("id", "x", 1, 1), ("punct", "!=", 1, 2),
+                   ("id", "y", 1, 5), ("eof", "", 1, 6)]),
+        ("a.b! c..d", [("id", "a.b", 1, 1), ("punct", "!", 1, 4),
+                       ("id", "c..d", 1, 6), ("eof", "", 1, 10)]),
+        ("12ab\n// tail", [("int", "12", 1, 1), ("id", "ab", 1, 3),
+                           ("eof", "", 2, 1)]),
+        ("é1 2² ٣ a½", [("id", "é1", 1, 1), ("int", "2²", 1, 4),
+                        ("int", "٣", 1, 7), ("id", "a½", 1, 9),
+                        ("eof", "", 1, 11)]),
+        ("10é", [("int", "10", 1, 1), ("id", "é", 1, 3), ("eof", "", 1, 4)]),
+    ])
+    def test_positions(self, src, expected):
+        assert _quads(tokenize(src)) == expected
+
+    @pytest.mark.parametrize("src,message", [
+        ("a. b", "unexpected character '.' at line 1, col 2"),
+        ("x =\n \u00a0y", "unexpected character '\\xa0' at line 2, col 2"),
+        ("½", "unexpected character '½' at line 1, col 1"),
+        ("x\n/* open\n", "unterminated comment at line 2"),
+    ])
+    def test_error_text(self, src, message):
+        with pytest.raises(LexError) as exc:
+            tokenize(src)
+        assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        list("aZ_$09.!=<>-*/ \t\r\n:;&|(") + ["//", "/*", "*/", "é", "²",
+                                              "٣", "½", "\u00a0"]))
+           .map("".join))
+    def test_matches_the_character_scanner(self, src):
+        """Token for token and error for error, :func:`tokenize` equals
+        the reference scanner below, which applies the lexer's ``str``
+        predicates (``isdigit``, ``isalpha``, ``isalnum``) one character
+        at a time."""
+        try:
+            expected = _scan(src)
+        except LexError as exc:
+            with pytest.raises(LexError) as got:
+                tokenize(src)
+            assert str(got.value) == str(exc)
+        else:
+            assert _quads(tokenize(src)) == expected
+
+
+def _quads(toks) -> list:
+    return [(t.kind, t.text, t.line, t.col) for t in toks]
+
+
+def _scan(src: str) -> list:
+    """A character-at-a-time scanner of the lexer's token rules, the
+    reference for :func:`tokenize`."""
+    toks, i, line, col, n = [], 0, 1, 1, len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+        elif c in " \t\r":
+            i, col = i + 1, col + 1
+        elif src.startswith("//", i):
+            while i < n and src[i] != "\n":
+                i += 1
+        elif src.startswith("/*", i):
+            end = src.find("*/", i + 2)
+            if end < 0:
+                raise LexError(f"unterminated comment at line {line}")
+            skipped = src[i:end + 2]
+            line += skipped.count("\n")
+            col = len(skipped) - skipped.rfind("\n") if "\n" in skipped \
+                else col + len(skipped)
+            i = end + 2
+        else:
+            j = i
+            if c.isdigit():
+                while j < n and src[j].isdigit():
+                    j += 1
+                kind = "int"
+            elif c.isalpha() or c in "_$":
+                while j < n and (src[j].isalnum() or src[j] in "_$.!"):
+                    j += 1
+                while src[j - 1] in ".!":
+                    j -= 1
+                kind = "kw" if src[i:j] in KEYWORDS else "id"
+            else:
+                p = next((p for p in PUNCT if src.startswith(p, i)), None)
+                if p is None:
+                    raise LexError(f"unexpected character {c!r} at line "
+                                   f"{line}, col {col}")
+                j, kind = i + len(p), "punct"
+            toks.append((kind, src[i:j], line, col))
+            col += j - i
+            i = j
+    return toks + [("eof", "", line, col)]
 
 
 GOOD = """

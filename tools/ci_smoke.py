@@ -6,14 +6,15 @@ over the committed fixture repository and asserts the contract the
 mode is sold on:
 
 1. a **cold sweep** analyzes every procedure;
-2. a **no-edit re-run** analyzes *nothing*, parses no file and
-   decodes no parse record (every file's digest matches the manifest,
-   so its declaration record stands in for it) and renders a
-   byte-stable warning delta;
+2. a **no-edit re-run** analyzes *nothing*, parses no file, decodes
+   no parse record and no stub (every file's digest matches the
+   manifest, so its declaration record stands in for it), renders a
+   byte-stable warning delta and rewrites the manifest byte for byte;
 3. a **scripted one-procedure edit** (a failing assert appended to
    ``Release`` in ``alloc.bpl``) dirties *exactly* that procedure —
    its caller ``Main``, in ``main.bpl``, stays clean — re-parses only
-   ``alloc.bpl`` and decodes no parse record;
+   ``alloc.bpl``, decodes no parse record, and decodes the stubs of
+   exactly the procedures of other files that ``alloc.bpl`` calls;
 4. the re-run's delta matches the committed golden byte-for-byte
    (``tests/fixtures/ci_repo_golden_delta.json``);
 5. the re-run's wall time is at most 25% of the cold sweep's;
@@ -40,6 +41,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.incremental import render_delta, run_ci  # noqa: E402
+from repro.frontend.ingest import ingest_directory  # noqa: E402
+from repro.lang.ast import stmt_callees  # noqa: E402
 
 FIXTURE = REPO / "tests" / "fixtures" / "ci_repo"
 GOLDEN = REPO / "tests" / "fixtures" / "ci_repo_golden_delta.json"
@@ -87,8 +90,9 @@ def run_api_cycle(jobs: int) -> None:
           f"{cold.stats['analyzed']}/{total}")
 
     print("no-edit re-run:")
-    t0 = time.monotonic()
+    cold_bytes = manifest.read_bytes()
     idle = run_ci(repo, manifest, jobs=jobs, cache_dir=cache)
+    idle_bytes = manifest.read_bytes()
     check(idle.stats["analyzed"] == 0, "no-edit re-run analyzes nothing",
           f"analyzed {idle.plan.order}")
     check(idle.stats["files_parsed"] == 0, "no-edit re-run parses no file",
@@ -99,6 +103,12 @@ def run_api_cycle(jobs: int) -> None:
     idle2 = run_ci(repo, manifest, jobs=jobs, cache_dir=cache)
     check(render_delta(idle.delta) == render_delta(idle2.delta),
           "delta report is byte-stable across identical runs")
+    check(idle.stats["stubs_decoded"] == idle2.stats["stubs_decoded"] == 0,
+          "no-edit re-runs decode no stub",
+          f"stubs_decoded={idle.stats['stubs_decoded']}, "
+          f"{idle2.stats['stubs_decoded']}")
+    check(cold_bytes == idle_bytes == manifest.read_bytes(),
+          "no-edit re-runs rewrite the manifest byte for byte")
 
     print(f"scripted edit ({EDIT_FILE}: one failing assert in "
           f"{EDITED_PROC}):")
@@ -118,6 +128,15 @@ def run_api_cycle(jobs: int) -> None:
     check(rerun.stats["files_decoded"] == 0,
           "re-run decodes no parse record",
           f"files_decoded={rerun.stats['files_decoded']}")
+    full = ingest_directory(repo)
+    own = {n for n, rel in full.proc_files.items() if rel == EDIT_FILE}
+    calls = {callee for n in own
+             if full.program.procedures[n].body is not None
+             for callee in stmt_callees(full.program.procedures[n].body)}
+    check(rerun.stats["stubs_decoded"] == len(calls - own),
+          f"re-run decodes the stubs of exactly what {EDIT_FILE} calls "
+          f"in other files", f"stubs_decoded="
+          f"{rerun.stats['stubs_decoded']}, calls {sorted(calls - own)}")
     golden = GOLDEN.read_text()
     check(render_delta(rerun.delta) == golden,
           "delta matches the committed golden")
