@@ -133,9 +133,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                          "--cache-dir / $REPRO_CACHE_DIR is set")
     ap.add_argument("--no-coalesce", action="store_true",
                     help="disable in-flight request coalescing")
-    ap.add_argument("--hot-bytes", type=int, default=None, metavar="BYTES",
-                    help="in-memory hot-tier result cache budget in bytes "
-                         "(default 64 MiB; 0 disables the hot tier)")
     return ap
 
 
@@ -211,8 +208,8 @@ def build_ci_parser() -> argparse.ArgumentParser:
                          "entirely, reusing the previous manifest's "
                          "fingerprints")
     ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="run the dirty set on N priority-pool workers "
-                         "(default 1: serial, in plan order)")
+                    help="run the dirty set on a pool of N worker "
+                         "processes, in plan order (default 1: serial)")
     ap.add_argument("--cache-dir", metavar="DIR",
                     default=os.environ.get("REPRO_CACHE_DIR"),
                     help="persistent analysis, parse and declaration "
@@ -314,16 +311,18 @@ def run_ci_cmd(argv: list[str], out=sys.stdout) -> int:
 
 
 def run_serve(argv: list[str], out=sys.stdout) -> int:
-    args = build_serve_parser().parse_args(argv)
+    ap = build_serve_parser()
+    args = ap.parse_args(argv)
+    if args.pool < 1:
+        ap.error("--pool must be at least 1")
+    if args.queue_limit < 1:
+        ap.error("--queue-limit must be at least 1")
     if not args.socket:
         print("error: serve needs --socket or $REPRO_SERVE_SOCKET",
               file=sys.stderr)
         return 2
     from .serve import run_server
-    from .serve.hotcache import DEFAULT_HOT_BYTES
     cache_dir = None if args.no_cache else args.cache_dir
-    hot_bytes = DEFAULT_HOT_BYTES if args.hot_bytes is None \
-        else max(0, args.hot_bytes)
     print(f"repro serve: listening on {args.socket} "
           f"(pool={args.pool}, queue_limit={args.queue_limit}, "
           f"cache={'on' if cache_dir else 'off'})", file=out, flush=True)
@@ -331,8 +330,7 @@ def run_serve(argv: list[str], out=sys.stdout) -> int:
         run_server(args.socket, pool_size=args.pool,
                    queue_limit=args.queue_limit, cache_dir=cache_dir,
                    default_deadline=args.deadline,
-                   coalesce=not args.no_coalesce,
-                   hot_bytes=hot_bytes)
+                   coalesce=not args.no_coalesce)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

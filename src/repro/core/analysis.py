@@ -6,18 +6,19 @@ program and aggregates the per-benchmark numbers the paper's tables use
 (warning counts, timeouts, predicates/clauses/time per procedure).
 
 Procedures are analyzed independently (each builds its own encoding and
-solver), so ``analyze_program`` and ``conservative_program`` accept
-``jobs``: with ``jobs > 1`` the sweep fans out across a
-``ProcessPoolExecutor``.  The default ``jobs=1`` keeps the serial,
-deterministic path; results are identical either way (modulo wall-clock
-fields), which is property-tested.  Both sweeps hand each procedure to
-a worker as a `repro.core.tasks.AnalysisTask` — the same unit of work
-the analysis server (`repro.serve`) streams to its persistent pool —
-and a procedure whose analysis *raises* becomes a structured failure
-entry in the report (``ProcedureReport.failed`` + ``.failure``) instead
-of aborting the whole sweep.  The one exception is a rejected solver
-certificate under ``self_check``: that is re-raised, because a
-certificate failure means the toolchain itself is wrong.
+solver), so each is one `repro.core.tasks.AnalysisTask`, and
+:func:`run_tasks` is the one place a task list runs: in order in this
+process for ``jobs <= 1`` or a single task, otherwise on a
+`repro.serve.pool.WorkerPool` of spawned workers — the pool the
+analysis server and ``repro ci --jobs`` run on too.
+``analyze_program`` and ``conservative_program`` accept ``jobs``;
+their verdict fields are identical either way, which is
+property-tested.  A procedure whose analysis *raises*, or whose worker
+dies, becomes a structured failure entry in the report
+(``ProcedureReport.failed`` + ``.failure``) instead of aborting the
+whole sweep.  The one exception is a rejected solver certificate under
+``self_check``: that is re-raised, because a certificate failure means
+the toolchain itself is wrong.
 
 Both sweeps, and ``analyze_procedure`` itself, take the persistent
 content-addressed cache (`repro.core.cache`) as the analysis memo's disk
@@ -219,16 +220,27 @@ def failure_report(proc_name: str, config_name: str,
 
 
 def run_tasks(tasks: list, jobs: int = 1) -> list:
-    """Run :class:`~repro.core.tasks.AnalysisTask` items, serially or
-    over a ``ProcessPoolExecutor``; one :class:`TaskResult` per task,
-    in task order.  ``run_task`` never raises, so one broken procedure
-    cannot abort the sweep."""
+    """Run :class:`~repro.core.tasks.AnalysisTask` items; one
+    :class:`TaskResult` per task, in task order.  With ``jobs <= 1`` or
+    a single task they run in order in this process; otherwise in order
+    on a :class:`~repro.serve.pool.WorkerPool` of
+    ``min(jobs, len(tasks))`` workers.  Neither path raises for one
+    task: an exception becomes the task's ``failure``, and so, in the
+    pool, does a dead worker (``worker_crash``).  The workers are
+    spawned and import the caller's main script as a module, so a
+    script calling this with ``jobs > 1`` needs an
+    ``if __name__ == "__main__":`` guard."""
     from .tasks import run_task
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(run_task, tasks))
-    return [run_task(t) for t in tasks]
+    if jobs <= 1 or len(tasks) <= 1:
+        return [run_task(t) for t in tasks]
+    from ..serve.pool import WorkerPool  # lazy: repro.serve imports core
+    pool = WorkerPool(min(jobs, len(tasks)))
+    try:
+        pool.start()
+        futures = [pool.submit(t) for t in tasks]
+        return [f.result() for f in futures]
+    finally:
+        pool.close()
 
 
 def analyze_program(program: Program,
@@ -244,11 +256,11 @@ def analyze_program(program: Program,
                     self_check: bool = False) -> ProgramReport:
     """Analyze every procedure with a body.
 
-    ``jobs > 1`` distributes procedures over that many worker processes;
-    report order always follows ``proc_names`` order.  ``cache_dir``
-    points every worker at one shared persistent analysis cache
-    (`repro.core.cache`); per-worker counters are merged into
-    ``ProgramReport.cache_stats``.  A procedure whose analysis raises
+    ``jobs > 1`` distributes procedures over that many worker processes
+    (:func:`run_tasks`); report order always follows ``proc_names``
+    order.  ``cache_dir`` points every worker at one shared persistent
+    analysis cache (`repro.core.cache`); per-worker counters are merged
+    into ``ProgramReport.cache_stats``.  A procedure whose analysis raises
     becomes a :func:`failure_report` entry; a ``CertificateError`` is
     re-raised after the sweep result is known.
     """

@@ -48,9 +48,10 @@ affect, not for the whole repo.  This module is that driver:
    changed/renamed/new; rank 1: dependent), historically-slow-first
    within each rank using the wall seconds the manifest recorded for
    the previous run (ties break by name, so plans are deterministic).
-   With ``jobs > 1`` the tasks go through the serve layer's
-   :class:`~repro.serve.pool.WorkerPool`, whose priority queue honors
-   the same ranks; ``jobs=1`` runs them serially in plan order.
+   The tasks run in plan order through
+   :func:`repro.core.analysis.run_tasks`: serially for ``jobs=1``, and
+   for ``jobs > 1`` on a :class:`~repro.serve.pool.WorkerPool`, whose
+   FIFO queue hands them to its workers in the same order.
 
 5. **Report.**  The new manifest is written back (compact JSON with
    sorted keys, so it is byte-stable), and the run carries a *warning delta* against the
@@ -77,11 +78,11 @@ from pathlib import Path
 from ..frontend.ingest import IngestedRepo, ingest_directory
 from ..scenarios.classes import DEFAULT_CLASSES, bug_class_of
 from ..vc.encode import procedure_fingerprint
-from .analysis import _reraise_certificate, failure_report
+from .analysis import _reraise_certificate, failure_report, run_tasks
 from .cache import AnalysisCache, merge_cache_stats
 from .config import AbstractionConfig, CONC
 from .interproc import spec_dependents, spec_fingerprint
-from .tasks import AnalysisTask, run_task
+from .tasks import AnalysisTask
 
 #: Version of the manifest format.  A manifest of any other version is
 #: ignored (the run degrades to a cold sweep) — no migration, no mixed
@@ -173,8 +174,6 @@ class IncrementPlan:
     #: dirty procedures in schedule order (rank, then slow-first, then
     #: name)
     order: list = field(default_factory=list)
-    #: procedure -> scheduling rank (the WorkerPool priority)
-    priorities: dict = field(default_factory=dict)
     #: fingerprints of the *current* repo, reused by the new manifest
     surface_fps: dict = field(default_factory=dict)
     spec_fps: dict = field(default_factory=dict)
@@ -291,32 +290,9 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
             plan.classes[name] = "clean"
 
     dirty = [n for n in bodied if plan.classes[n] != "clean"]
-    plan.priorities = {n: CLASS_RANK[plan.classes[n]] for n in dirty}
-    plan.order = sorted(dirty, key=lambda n: (plan.priorities[n],
+    plan.order = sorted(dirty, key=lambda n: (CLASS_RANK[plan.classes[n]],
                                               -hist_wall[n], n))
     return plan
-
-
-# ----------------------------------------------------------------------
-# execution
-# ----------------------------------------------------------------------
-
-def _execute(tasks: list, priorities: list, jobs: int) -> list:
-    """Run the dirty set; results in task order.  ``jobs=1`` is the
-    serial, deterministic path (tasks arrive already in plan order);
-    ``jobs>1`` routes through the serve layer's priority worker pool,
-    which dispatches rank 0 before rank 1 whenever both are queued."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [run_task(t) for t in tasks]
-    from ..serve.pool import WorkerPool  # lazy: serve imports core
-    pool = WorkerPool(workers=min(jobs, len(tasks)))
-    pool.start()
-    try:
-        futures = [pool.submit(task, priority=prio)
-                   for task, prio in zip(tasks, priorities)]
-        return [f.result() for f in futures]
-    finally:
-        pool.close()
 
 
 # ----------------------------------------------------------------------
@@ -468,8 +444,7 @@ def run_ci(root: str | os.PathLike,
                           lia_budget=lia_budget,
                           cache_dir=str(cache_dir) if cache_dir else None)
              for name in plan.order]
-    results = _execute(tasks, [plan.priorities[n] for n in plan.order],
-                       jobs)
+    results = run_tasks(tasks, jobs)
 
     procedures: dict = {}
     prev_procs = previous.get("procedures", {}) if previous else {}

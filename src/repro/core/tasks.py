@@ -1,34 +1,30 @@
-"""One worker-task representation shared by the batch sweeps and the
-analysis server.
+"""One worker-task representation shared by the batch sweeps, ``repro
+ci`` and the analysis server.
 
-Before the serving layer existed, ``analyze_program`` and
-``conservative_program`` each carried their own ad-hoc payload tuple
-into ``ProcessPoolExecutor`` workers.  The persistent worker pool
-(`repro.serve.pool`) needs the same unit of work — "analyze this one
-procedure under these knobs" — shipped over a pipe instead, so the
-payload now lives here as a proper dataclass:
+Each of them runs the same unit of work — "analyze this one procedure
+under these knobs" — in this process or, shipped over a pipe, on a
+`repro.serve.pool` worker:
 
 * :class:`AnalysisTask` — the picklable description of one unit of
   work (an ``analyze`` or ``cons`` run of one procedure, plus a few
-  control kinds the pool uses for warm-up and the tests use to
-  exercise crash/deadline paths);
+  control kinds the tests use to exercise the pool's crash and
+  deadline paths);
 * :class:`TaskResult` — the structured outcome.  A task that raises
   does **not** propagate: the exception is folded into
   ``TaskResult.failure`` (``{"type", "message"}``) so one broken
   procedure can never abort a whole sweep or wedge a server worker.
   The same shape is used by the pool for infrastructure failures
   (``worker_crash``, ``deadline``);
-* :func:`run_task` — the single dispatch point executed inside every
-  worker, batch and server alike;
+* :func:`run_task` — the single dispatch point executed for every
+  task, in this process and in every pool worker alike;
 * :func:`coalesce_key` — the content address the server coalesces
-  identical in-flight submissions and keys its hot tier on: a digest of
-  the task's kind, configuration, knobs and budgets and of its prepared
-  procedure's fingerprint.
+  identical in-flight submissions on: a digest of the task's kind,
+  configuration, knobs and budgets and of its prepared procedure's
+  fingerprint.
 
-This module is deliberately import-light: the heavy analysis stack is
-imported lazily inside :func:`run_task`, so a freshly spawned worker
-process becomes responsive (for warm-up pings and control tasks)
-before paying the full import cost.
+Importing this module loads the whole analysis stack, because it lives
+in `repro.core`, whose package imports every layer; a spawned pool
+worker has therefore paid the import cost before its ready handshake.
 """
 
 from __future__ import annotations
@@ -37,10 +33,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any
 
-#: Control task kinds (beyond "analyze"/"cons").  "warm" forces the
-#: heavy imports so a worker's first real request doesn't pay them;
-#: "echo"/"sleep"/"crash" exist for the pool's failure-path tests.
-CONTROL_KINDS = ("warm", "echo", "sleep", "crash")
+#: Control task kinds (beyond "analyze"/"cons"): they exist for the
+#: pool's failure-path tests.
+CONTROL_KINDS = ("echo", "sleep", "crash")
 
 
 @dataclass(frozen=True)
@@ -103,9 +98,9 @@ def failure_result(task: AnalysisTask, type_: str, message: str,
 
 def run_task(task: AnalysisTask) -> TaskResult:
     """Execute one task; never raises (exceptions become
-    ``TaskResult.failure``).  This is the body of every batch
-    ``ProcessPoolExecutor`` worker and every `repro.serve.pool`
-    worker."""
+    ``TaskResult.failure``).  This is what :func:`repro.core.analysis.
+    run_tasks` runs in this process and every `repro.serve.pool`
+    worker runs for each task it receives."""
     try:
         return _dispatch(task)
     except Exception as exc:  # noqa: BLE001 — fold into the report
@@ -154,11 +149,6 @@ def _run_cons(task: AnalysisTask, cache) -> TaskResult:
 
 
 def _run_control(task: AnalysisTask) -> TaskResult:
-    if task.kind == "warm":
-        # Pull in the whole analysis stack so the first real request on
-        # this worker doesn't pay the import bill.
-        from .. import core  # noqa: F401
-        return TaskResult(kind="warm", value="warm")
     if task.kind == "echo":
         return TaskResult(kind="echo", proc_name=task.proc_name,
                           value=task.payload)
@@ -177,14 +167,13 @@ def coalesce_key(task: AnalysisTask) -> str:
     """The content address identical concurrent submissions share.
 
     Two tasks with equal keys are guaranteed to produce bit-identical
-    results, so the server runs one and hands the result to both, and
-    its hot tier (`repro.serve.hotcache`) keys on the same string.  The
+    results, so the server runs one and hands the result to both.  The
     key digests the task's kind, its configuration's name, ``prune_k``
     and ``max_preds`` (``analyze`` tasks only: a Cons result depends on
     none of them), ``unroll_depth``, the budgets, ``self_check``,
     whether a cache directory is attached, and the fingerprint of the
     procedure as the task prepares it.  The name stands for the
-    configuration, so a hot hit needs no renaming; the budgets are in
+    configuration, as a report carries it; the budgets are in
     because a request with a different timeout may legitimately time
     out differently, so it must not coalesce with a longer-budget twin.
     Control kinds have no content address and get a key that never

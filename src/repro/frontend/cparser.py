@@ -350,6 +350,9 @@ class CParser:
         t = self.peek()
         if t.kind == "int":
             self.next()
+            if not t.text.isascii():  # the lexer's isdigit takes "٣", "²"
+                raise CParseError(f"integer literal {t.text!r} is not in "
+                                  f"ASCII digits at line {t.line}")
             return CInt(int(t.text))
         if self.accept("NULL"):
             return CNull()

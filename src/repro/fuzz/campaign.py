@@ -9,8 +9,8 @@ generates programs in the fragments the oracles need, and runs:
   (``interp-vs-wp`` → ``brute-vs-solver`` → ``incremental-vs-naive`` →
   ``cache`` → ``theory_justifications`` → ``incremental-vs-naive`` on
   the scenario preset);
-* the ``jobs`` oracle every ``jobs_every``-th iteration (process-pool
-  spawns are expensive).
+* the ``jobs`` oracle every ``jobs_every``-th iteration (each run
+  spawns a worker pool, which is expensive).
 
 Solver-backed oracles run with certificate validation on by default, so
 a campaign simultaneously fuzzes the solver's self-checking layer: a
@@ -160,7 +160,7 @@ def run_campaign(seed: int = 0, iterations: int = 300,
 
     ``corpus_dir`` (usually ``tests/corpus``) receives one minimized
     ``.bpl`` reproducer per finding; ``None`` disables writing.
-    ``jobs_every=0`` disables the process-pool oracle.
+    ``jobs_every=0`` disables the worker-pool oracle.
     ``only`` focuses every iteration on a single named oracle (the CI
     uses it for targeted campaigns); the rotation, the per-iteration
     ``roundtrip`` guard and the ``jobs`` cadence are skipped.

@@ -322,7 +322,6 @@ def jobs_vs_serial(program: Program, rng: random.Random,
     kwargs = dict(timeout=None, lia_budget=5000, max_preds=6,
                   self_check=self_check)
     serial = analyze_program(program, **kwargs)
-    clear_baseline_cache()  # forked workers would inherit the memo
     parallel = analyze_program(program, jobs=2, **kwargs)
     a = [(r.proc_name, _fields(r)) for r in serial.reports]
     b = [(r.proc_name, _fields(r)) for r in parallel.reports]

@@ -432,6 +432,9 @@ class Parser:
         t = self.peek()
         if t.kind == "int":
             self.next()
+            if not t.text.isascii():  # the lexer's isdigit takes "٣", "²"
+                raise ParseError(f"integer literal {t.text!r} is not in "
+                                 f"ASCII digits at line {t.line}")
             return IntLit(int(t.text))
         if self.accept("("):
             e = self.parse_expr()

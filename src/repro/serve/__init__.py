@@ -12,18 +12,16 @@ Public surface:
   ``ServerThread`` — the daemon;
 * :class:`~repro.serve.client.ServeClient` — the client library
   (``repro submit`` is a thin wrapper over it);
-* :class:`~repro.serve.pool.WorkerPool` — the warm pool, usable on its
+* :class:`~repro.serve.pool.WorkerPool` — the warm pool, which the
+  batch sweeps and ``repro ci`` also run ``jobs > 1`` on, usable on its
   own for embedders;
-* :class:`~repro.serve.hotcache.HotCache` — the daemon's in-memory hot
-  tier;
 * `repro.serve.protocol` — the wire format.
 
-See ``docs/serving.md`` for the protocol, lifecycle, hot tier and
+See ``docs/serving.md`` for the protocol, lifecycle, cache tiers and
 metrics glossary.
 """
 
 from .client import ServeClient, ServeError, retry_delay
-from .hotcache import HotCache
 from .pool import PoolClosedError, WorkerPool
 from .protocol import parse_address
 from .server import AnalysisServer, ServerThread, run_server
@@ -32,6 +30,5 @@ __all__ = [
     "AnalysisServer", "ServerThread", "run_server",
     "ServeClient", "ServeError", "retry_delay",
     "WorkerPool", "PoolClosedError",
-    "HotCache",
     "parse_address",
 ]

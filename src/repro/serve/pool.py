@@ -1,14 +1,17 @@
-"""Persistent multiprocess worker pool with crash recovery.
+"""Multiprocess worker pool with crash recovery: the one pool every
+parallel run uses.
 
-The batch sweeps build a ``ProcessPoolExecutor`` per call: every worker
-cold-imports the solver stack, analyzes its share, and is thrown away.
-This pool is the long-lived alternative the analysis server runs on:
+The batch sweeps and ``repro ci`` start one for each ``jobs > 1`` call
+with two or more tasks (`repro.core.analysis.run_tasks`) and close it
+when the call returns; the analysis server keeps one for its lifetime.
 
-* **Warm workers.**  Each worker is spawned once (``spawn`` start
-  method — no inherited locks from the threaded parent), imports the
-  analysis stack once (eagerly, via a ``warm`` control task), and then
-  keeps all process-level warm state — the Dead/Fail baseline memo,
-  its persistent-cache handle — across every request it serves.
+* **Warm workers.**  Each worker is spawned (``spawn`` start method —
+  no inherited locks from the threaded parent, and no inherited
+  analysis memo), imports the analysis stack once before its ready
+  handshake, and then keeps all process-level warm state — the
+  analysis memo, its persistent-cache handle — across every task it
+  runs.  :meth:`WorkerPool.start` launches every worker before it waits
+  for any handshake, so the workers import in parallel.
 
 * **Crash containment.**  A worker dying mid-task (segfault, OOM kill,
   ``SIGKILL``) is detected by its pipe going EOF.  The dispatcher
@@ -27,24 +30,18 @@ This pool is the long-lived alternative the analysis server runs on:
   and blocks until everything already accepted has finished — the
   building block for the server's SIGTERM handling.
 
-* **Priorities.**  :meth:`WorkerPool.submit` takes an integer
-  ``priority`` (lower runs first; default 0).  Equal priorities keep
-  strict FIFO order, so existing callers see the exact old behavior.
-  This is the scheduling hook the incremental CI driver
-  (`repro.core.incremental`) uses to run changed procedures before
-  dependency-dirtied ones, slowest-first within each class.
-
 Threading model: one dispatcher thread per worker slot, all pulling
-from one priority heap under a condition variable.  Results are
-delivered through ``concurrent.futures.Future`` (always ``set_result``
-with a :class:`~repro.core.tasks.TaskResult`; infrastructure failures
-use the same ``failure`` shape as in-task exceptions).
+from one FIFO queue under a condition variable, so tasks start in
+submission order (``repro ci`` submits its dirty set in plan order).
+Results are delivered through ``concurrent.futures.Future`` (always
+``set_result`` with a :class:`~repro.core.tasks.TaskResult`;
+infrastructure failures use the same ``failure`` shape as in-task
+exceptions).
 """
 
 from __future__ import annotations
 
 import collections
-import heapq
 import multiprocessing
 import os
 import threading
@@ -89,13 +86,8 @@ class _Item:
     task: AnalysisTask
     future: Future
     deadline: float | None  # absolute time.monotonic(), None = unbounded
-    priority: int = 0       # lower runs first; ties keep FIFO order
-    seq: int = 0            # submission counter, the FIFO tie-breaker
     enqueued: float = field(default_factory=time.monotonic)
     attempts: int = 0
-
-    def heap_key(self) -> tuple[int, int]:
-        return (self.priority, self.seq)
 
 
 class _Slot:
@@ -129,10 +121,7 @@ class WorkerPool:
         self.start_timeout = start_timeout
         self.metrics = metrics  # optional ServerMetrics
         self._cv = threading.Condition()
-        # min-heap of (priority, seq, item): pops the lowest priority
-        # number first, FIFO within a priority level
-        self._items: list[tuple[int, int, _Item]] = []
-        self._seq = 0
+        self._items: collections.deque[_Item] = collections.deque()
         self._busy = 0
         self._closed = False     # no new submits
         self._stopping = False   # dispatcher threads should exit
@@ -144,20 +133,19 @@ class WorkerPool:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def start(self, warm: bool = True) -> None:
-        """Spawn the workers (optionally pre-importing the analysis
-        stack in each) and start the dispatcher threads."""
+    def start(self) -> None:
+        """Launch every worker, wait for their ready handshakes, and
+        start the dispatcher threads.  A worker that never becomes ready
+        raises, after every worker has been killed."""
         for slot in self._slots:
-            self._spawn(slot)
-        if warm:
-            warm_task = AnalysisTask(kind="warm")
+            self._launch(slot)
+        try:
             for slot in self._slots:
-                slot.conn.send(warm_task)
+                self._handshake(slot)
+        except BaseException:
             for slot in self._slots:
-                if not slot.conn.poll(self.start_timeout):
-                    raise TimeoutError(
-                        f"worker {slot.index} did not finish warm-up")
-                slot.conn.recv()
+                self._kill_worker(slot)
+            raise
         for slot in self._slots:
             t = threading.Thread(target=self._dispatch_loop, args=(slot,),
                                  name=f"pool-dispatch-{slot.index}",
@@ -173,22 +161,17 @@ class WorkerPool:
         self.close()
 
     def submit(self, task: AnalysisTask,
-               deadline_seconds: float | None = None,
-               priority: int = 0) -> Future:
+               deadline_seconds: float | None = None) -> Future:
         """Enqueue one task; the Future always resolves to a
         :class:`TaskResult` (failures are structured, not raised).
-        ``deadline_seconds`` is relative to now.  ``priority`` orders
-        the queue: lower numbers dispatch first, equal numbers keep
-        FIFO submission order."""
+        ``deadline_seconds`` is relative to now."""
         deadline = (time.monotonic() + deadline_seconds
                     if deadline_seconds is not None else None)
         with self._cv:
             if self._closed:
                 raise PoolClosedError("pool is closed to new work")
-            self._seq += 1
-            item = _Item(task=task, future=Future(), deadline=deadline,
-                         priority=priority, seq=self._seq)
-            heapq.heappush(self._items, (*item.heap_key(), item))
+            item = _Item(task=task, future=Future(), deadline=deadline)
+            self._items.append(item)
             self._cv.notify()
         return item.future
 
@@ -215,7 +198,7 @@ class WorkerPool:
         with self._cv:
             self._closed = True
             self._stopping = True
-            pending = [entry[2] for entry in self._items]
+            pending = list(self._items)
             self._items.clear()
             self._cv.notify_all()
         for item in pending:
@@ -262,19 +245,34 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     def _spawn(self, slot: _Slot) -> None:
+        self._launch(slot)
+        self._handshake(slot)
+
+    def _launch(self, slot: _Slot) -> None:
+        """Start the seat's worker process without waiting for it."""
         parent_conn, child_conn = _MP.Pipe(duplex=True)
         proc = _MP.Process(target=_worker_main, args=(child_conn,),
                            name=f"repro-serve-worker-{slot.index}",
                            daemon=True)
         proc.start()
         child_conn.close()  # parent must see EOF when the child dies
-        if not parent_conn.poll(self.start_timeout):
-            proc.kill()
-            raise TimeoutError(f"worker {slot.index} never became ready")
-        tag, pid = parent_conn.recv()
-        assert tag == "ready"
         with self._cv:
-            slot.proc, slot.conn, slot.pid = proc, parent_conn, pid
+            slot.proc, slot.conn = proc, parent_conn
+
+    def _handshake(self, slot: _Slot) -> None:
+        """Wait for the launched worker's ready message; on a timeout or
+        a dead worker, kill it and raise."""
+        try:
+            if not slot.conn.poll(self.start_timeout):
+                raise TimeoutError(
+                    f"worker {slot.index} never became ready")
+            tag, pid = slot.conn.recv()
+            assert tag == "ready"
+        except BaseException:
+            self._kill_worker(slot)
+            raise
+        with self._cv:
+            slot.pid = pid
             slot.started += 1
             if slot.started > 1:
                 self._counters["restarts"] += 1
@@ -316,7 +314,7 @@ class WorkerPool:
         with self._cv:
             while True:
                 while self._items:
-                    item = heapq.heappop(self._items)[2]
+                    item = self._items.popleft()
                     if item.future.cancelled():
                         self._cv.notify_all()
                         continue

@@ -13,14 +13,10 @@ TCP socket.  What the frontend adds over the bare pool:
   (`repro.core.tasks.coalesce_key`: post-elaboration AST fingerprint +
   configuration fingerprint + budget knobs).  A submission whose key is
   already being computed attaches to that computation instead of
-  re-running it; both requests then get bit-identical results, and
-  later resubmissions hit the persistent cache inside the workers.
-
-* **Hot tier.**  With ``hot_bytes`` set, completed per-procedure
-  results are kept in a byte-bounded in-memory LRU
-  (`repro.serve.hotcache`) keyed on the same coalesce key: a repeat
-  submission is answered from the server process without touching a
-  worker, the disk cache, or the pool queue (``docs/serving.md``).
+  re-running it; both requests then get bit-identical results.  A
+  later resubmission runs on a worker again; it needs no solver work
+  when that worker's analysis memo holds the pair or the daemon has a
+  cache directory that does (``docs/serving.md``).
 
 * **Deadlines.**  A request-level deadline rides every task into the
   pool: expired-while-queued tasks never occupy a worker, and a task
@@ -49,7 +45,6 @@ import time
 from ..core.analysis import failure_report, program_report_to_json
 from ..core.config import BY_NAME
 from ..core.tasks import AnalysisTask, coalesce_key
-from .hotcache import HotCache, record_to_result, result_to_record
 from .metrics import ServerMetrics
 from .pool import PoolClosedError, WorkerPool
 from .protocol import MAX_LINE, ProtocolError, decode, encode, error, ok
@@ -87,7 +82,6 @@ class _Request:
         self.report_json: dict | None = None
         self.n_failures = 0
         self.coalesced = 0
-        self.hot_hits = 0
 
 
 class AnalysisServer:
@@ -96,15 +90,13 @@ class AnalysisServer:
     def __init__(self, address: str, *, pool_size: int = 2,
                  queue_limit: int = 64, cache_dir: str | None = None,
                  default_deadline: float | None = None,
-                 coalesce: bool = True, pool: WorkerPool | None = None,
-                 hot_bytes: int = 0):
+                 coalesce: bool = True, pool: WorkerPool | None = None):
         self.address = parse_address(address)
         self.address_spec = address
         self.queue_limit = queue_limit
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.default_deadline = default_deadline
         self.coalesce = coalesce
-        self.hot_cache = HotCache(hot_bytes) if hot_bytes else None
         self.metrics = ServerMetrics()
         self.pool = pool or WorkerPool(pool_size, metrics=self.metrics)
         self._owns_pool = pool is None
@@ -131,10 +123,10 @@ class AnalysisServer:
     # lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self, warm: bool = True) -> None:
+    async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         if self._owns_pool:
-            await asyncio.to_thread(self.pool.start, warm)
+            await asyncio.to_thread(self.pool.start)
         if self.address[0] == "unix":
             path = self.address[1]
             if os.path.exists(path):
@@ -291,13 +283,6 @@ class AnalysisServer:
                 return error("bad_request", f"no such procedures: {missing}")
         deadline = msg.get("deadline", self.default_deadline)
         deadline = float(deadline) if deadline is not None else None
-        # scheduling hint for the pool's priority queue (lower runs
-        # first; incremental CI clients use it to front-load changed
-        # procedures) — plain FIFO when absent
-        try:
-            priority = int(msg.get("priority", 0))
-        except (TypeError, ValueError):
-            return error("bad_request", "priority must be an integer")
 
         self._next_id += 1
         req = _Request(f"q{self._next_id}", kind, config_name,
@@ -321,13 +306,6 @@ class AnalysisServer:
 
         for idx, task in enumerate(tasks):
             key = await asyncio.to_thread(_safe_key, task)
-            if self.hot_cache is not None:
-                hot = self._hot_lookup(key)
-                if hot is not None:
-                    req.hot_hits += 1
-                    self.metrics.inc("hot_hits")
-                    self._deliver(req, idx, hot)
-                    continue
             flight = self._inflight.get(key) if self.coalesce else None
             if flight is not None:
                 flight.waiters.append((req, idx))
@@ -337,14 +315,12 @@ class AnalysisServer:
             flight = _Flight()
             flight.waiters.append((req, idx))
             self._inflight[key] = flight
-            self._spawn(
-                self._run_flight(key, flight, task, deadline,
-                                 priority=priority))
+            self._spawn(self._run_flight(key, flight, task, deadline))
         req.state = "running" if req.done < len(tasks) else "done"
         self.metrics.inc("requests_accepted")
         self.metrics.inc("procs_submitted", len(tasks))
         return ok(id=req.id, procs=list(proc_names),
-                  coalesced=req.coalesced, hot=req.hot_hits)
+                  coalesced=req.coalesced)
 
     def _op_status(self, msg: dict) -> dict:
         req = self._requests.get(str(msg.get("id")))
@@ -383,34 +359,17 @@ class AnalysisServer:
     # completion plumbing
     # ------------------------------------------------------------------
 
-    def _hot_lookup(self, key: str):
-        """A TaskResult from the hot tier, or ``None`` (a malformed
-        record — e.g. written by an older schema — degrades to a
-        miss)."""
-        record = self.hot_cache.get(key)
-        if record is None:
-            return None
-        try:
-            return record_to_result(record)
-        except Exception:  # noqa: BLE001 — stale record = miss
-            return None
-
     async def _run_flight(self, key: str, flight: _Flight,
-                          task: AnalysisTask, deadline: float | None,
-                          priority: int = 0) -> None:
-        """Produce one result for ``key`` on the worker pool, populate
-        the hot tier, and deliver to every coalesced waiter."""
+                          task: AnalysisTask,
+                          deadline: float | None) -> None:
+        """Produce one result for ``key`` on the worker pool and deliver
+        it to every coalesced waiter."""
         try:
-            future = self.pool.submit(task, deadline_seconds=deadline,
-                                      priority=priority)
+            future = self.pool.submit(task, deadline_seconds=deadline)
         except PoolClosedError:
             result = _pool_closed_result(task)
         else:
             result = await asyncio.wrap_future(future)
-        if self.hot_cache is not None:
-            record = result_to_record(result)
-            if record is not None:
-                self.hot_cache.put(key, record)
         self._inflight.pop(key, None)
         for req, idx in flight.waiters:
             self._deliver(req, idx, result)
@@ -419,10 +378,10 @@ class AnalysisServer:
         if req.slots[idx] is not None:
             return
         # Content addresses are procedure-name-independent, so a result
-        # may arrive under another name: a rename served from the hot
-        # tier or disk cache, or a coalesced twin of a same-content
-        # procedure.  Rewrite on a copy — the original object may be
-        # shared with other waiters expecting their own names.
+        # may arrive under another name: a coalesced twin of a
+        # same-content procedure.  Rewrite on a copy — the original
+        # object may be shared with other waiters expecting their own
+        # names.
         expected = req.proc_names[idx]
         if result.failure is None and result.proc_name != expected:
             from dataclasses import replace as _dc_replace
@@ -460,9 +419,7 @@ class AnalysisServer:
             draining=self._draining,
             queue_limit=self.queue_limit,
             coalesce=self.coalesce,
-            cache_dir=self.cache_dir,
-            hot=(self.hot_cache.stats()
-                 if self.hot_cache is not None else None))
+            cache_dir=self.cache_dir)
 
 
 # ----------------------------------------------------------------------

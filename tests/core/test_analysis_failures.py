@@ -1,13 +1,12 @@
-"""One raising procedure must become a structured failure entry, not
-abort the sweep — the batch twin of the server's error path (both go
-through ``repro.core.tasks.run_task``)."""
-
-import multiprocessing
+"""One raising procedure, or one dead worker, must become a structured
+failure entry, not abort the sweep — the batch twin of the server's
+error path (both go through ``repro.core.tasks.run_task``)."""
 
 import pytest
 
 from repro.core import CONC, analyze_program, conservative_program
-from repro.core.analysis import failure_report
+from repro.core.analysis import failure_report, run_tasks
+from repro.core.tasks import AnalysisTask
 from repro.lang import parse_program, typecheck
 
 TWO_PROCS_BPL = """
@@ -66,17 +65,18 @@ class TestAnalyzeFailureContainment:
         # avg over the one non-failed report, not 2
         assert rep.avg("seconds") == rep.reports[0].seconds
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="monkeypatch only propagates into fork-started workers")
-    def test_failure_entries_survive_the_process_pool(self, program,
-                                                      exploding_sibs):
+    def test_failure_entries_survive_the_process_pool(self, program):
+        # an unknown procedure raises in the worker as it does here; no
+        # monkeypatch needed, which spawned workers would not see
         serial = analyze_program(program, config=CONC,
-                                 proc_names=["good", "boom"])
+                                 proc_names=["good", "nosuch"])
         parallel = analyze_program(program, config=CONC,
-                                   proc_names=["good", "boom"], jobs=2)
+                                   proc_names=["good", "nosuch"], jobs=2)
         assert parallel.n_failures == serial.n_failures == 1
+        assert serial.reports[1].failure == {"type": "KeyError",
+                                             "message": "'nosuch'"}
         assert parallel.reports[1].failure == serial.reports[1].failure
+        assert not parallel.reports[0].failed
 
 
 class TestConservativeFailureContainment:
@@ -100,6 +100,15 @@ class TestConservativeFailureContainment:
         assert warnings["good"] is not None
         assert failures == {"boom": {"type": "RuntimeError",
                                      "message": "cons bug"}}
+
+
+def test_dead_worker_becomes_a_failure_entry():
+    results = run_tasks([AnalysisTask(kind="crash"),
+                         AnalysisTask(kind="echo", payload=1)], jobs=2)
+    crash, echo = results
+    assert crash.failure["type"] == "worker_crash"
+    assert echo.failure is None
+    assert echo.value == 1
 
 
 def test_failure_report_shape():

@@ -1,12 +1,11 @@
-"""The ``jobs > 1`` process-pool sweep must be invisible in the results:
-identical reports (modulo wall-clock fields) and identical Cons baseline,
-in the serial report order."""
+"""The ``jobs > 1`` worker-pool sweep must be invisible in the results:
+identical reports (modulo wall-clock fields and counters) and identical
+Cons baseline, in the serial report order."""
 
 from dataclasses import fields
 
 from repro.bench import compile_suite, make_suite
 from repro.core import A2, CONC, analyze_program, conservative_program
-from repro.core.deadfail import clear_baseline_cache
 
 # wall-clock / machine-local fields excluded from the equality check
 _VOLATILE = {"seconds", "phases", "budget_remaining", "solver_stats",
@@ -26,7 +25,6 @@ def _program():
 def test_parallel_sweep_equals_serial():
     program, names = _program()
     serial = analyze_program(program, config=CONC, proc_names=names)
-    clear_baseline_cache()  # forked workers would inherit the memo
     parallel = analyze_program(program, config=CONC, proc_names=names,
                                jobs=2)
     assert _stable(parallel) == _stable(serial)
@@ -36,7 +34,6 @@ def test_parallel_sweep_equals_serial():
 def test_parallel_sweep_equals_serial_abstract_config():
     program, names = _program()
     serial = analyze_program(program, config=A2, proc_names=names)
-    clear_baseline_cache()
     parallel = analyze_program(program, config=A2, proc_names=names, jobs=2)
     assert _stable(parallel) == _stable(serial)
 
@@ -44,7 +41,6 @@ def test_parallel_sweep_equals_serial_abstract_config():
 def test_parallel_conservative_equals_serial():
     program, names = _program()
     serial = conservative_program(program, proc_names=names)
-    clear_baseline_cache()
     parallel = conservative_program(program, proc_names=names, jobs=2)
     assert parallel == serial
 

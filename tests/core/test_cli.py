@@ -105,6 +105,20 @@ class TestCli:
         p.write_text("procedure {")
         assert run([str(p)]) == 2
 
+    @pytest.mark.parametrize("mode,src", [
+        ([], "procedure P() returns (r: int)\n{\n  r := ٣;\n}\n"),
+        (["--c"], "int f() {\n  int r;\n  r = 2²;\n  return r;\n}\n"),
+    ])
+    def test_non_ascii_digit_literal_exits_2(self, tmp_path, capsys, mode,
+                                             src):
+        p = tmp_path / "lit.src"
+        p.write_text(src)
+        out = io.StringIO()
+        assert run([*mode, str(p)], out=out) == 2
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert "ASCII digits at line 3" in err
+
     def test_bad_config_rejected(self, fig1_file):
         with pytest.raises(SystemExit):
             run(["--config", "Zmax", fig1_file])

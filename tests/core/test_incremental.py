@@ -1,6 +1,6 @@
 """Incremental CI mode (`repro.core.incremental`): multi-file ingest,
 dependency-aware dirty-set planning, manifest round-trips, rename cache
-hits, priority scheduling, and the warning delta.
+hits, plan-order scheduling, and the warning delta.
 
 Everything runs on the committed fixture repository
 (``tests/fixtures/ci_repo``): Release (spec'd callee, alloc.bpl),
@@ -147,7 +147,6 @@ class TestPlanning:
         # rank 0 (changed) before rank 1 (dependent); historically
         # slow first within the rank.
         assert plan.order == ["Clamp", "Buggy", "Main"]
-        assert plan.priorities == {"Clamp": 0, "Buggy": 0, "Main": 1}
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +218,8 @@ class TestRunCi:
 class TestPoolExecution:
     def test_jobs_parallel_matches_serial(self, tmp_path):
         """jobs>1 routes the dirty set through the serve layer's
-        priority WorkerPool; results are identical to the serial path
-        modulo wall clocks."""
+        WorkerPool; results are identical to the serial path modulo
+        wall clocks."""
         repo = make_repo(tmp_path)
         serial = run_ci(repo, tmp_path / "m1.json")
         pooled = run_ci(repo, tmp_path / "m2.json", jobs=2)

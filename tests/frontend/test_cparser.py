@@ -183,6 +183,13 @@ class TestExpressions:
         with pytest.raises(CParseError):
             parse_c("void f(int x) { g(&x); }")
 
+    @pytest.mark.parametrize("literal", ["٣", "2²"])
+    def test_non_ascii_digit_literal_names_its_line(self, literal):
+        src = f"int f() {{\n  int r;\n  r = {literal};\n  return r;\n}}"
+        with pytest.raises(CParseError, match=r"line 3") as exc:
+            parse_c(src)
+        assert "ASCII digits" in str(exc.value)
+
     def test_unary_not_and_star(self):
         fn = first_fn("void f(int *p, int x) { if (!x) { x = *p; } }")
         cond = fn.body.stmts[0].cond

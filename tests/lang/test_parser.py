@@ -199,6 +199,15 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_program(src)
 
+    @pytest.mark.parametrize("literal", ["٣", "2²"])
+    def test_non_ascii_digit_literal_names_its_line(self, literal):
+        # the lexer reads both as one int token (str.isdigit); int()
+        # would turn "٣" into 3 and fail on "2²" with no position
+        src = f"procedure P() returns (r: int)\n{{\n  r := {literal};\n}}"
+        with pytest.raises(ParseError, match=r"line 3") as exc:
+            parse_program(src)
+        assert "ASCII digits" in str(exc.value)
+
     def test_two_procedures_rejected_by_parse_procedure(self):
         with pytest.raises(ParseError):
             parse_procedure("procedure A() {skip;} procedure B() {skip;}")

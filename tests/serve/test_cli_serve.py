@@ -162,6 +162,18 @@ def test_serve_without_socket_exits_2():
     assert "REPRO_SERVE_SOCKET" in res.stderr
 
 
+@pytest.mark.parametrize("flag", ["--pool", "--queue-limit"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_serve_size_below_one_is_a_usage_error(tmp_path, flag, value):
+    sock = tmp_path / "never.sock"
+    res = _repro("serve", "--socket", str(sock), flag, value)
+    assert res.returncode == 2
+    assert res.stdout == ""  # nothing printed: not even "listening on"
+    assert f"{flag} must be at least 1" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not sock.exists()
+
+
 def _alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)

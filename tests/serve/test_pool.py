@@ -24,7 +24,7 @@ def _sleep(seconds):
 @pytest.fixture()
 def pool():
     p = WorkerPool(workers=1, max_retries=2, backoff_base=0.01)
-    p.start(warm=False)
+    p.start()
     yield p
     p.close()
 
@@ -97,29 +97,8 @@ class TestDeadlines:
         assert pool.counters()["retries"] == 0
 
 
-class TestPriorities:
-    def test_lower_priority_number_dispatches_first(self, pool):
-        # Park the single worker, then enqueue interleaved priorities:
-        # rank 0 must dispatch before rank 5, FIFO within each rank.
-        order = []
-        blocker = pool.submit(_sleep(0.4))
-        deadline = time.monotonic() + 10
-        while pool.in_flight() == 0:
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-        futs = []
-        for payload, prio in [("low1", 5), ("hi1", 0),
-                              ("low2", 5), ("hi2", 0)]:
-            fut = pool.submit(_echo(payload), priority=prio)
-            fut.add_done_callback(
-                lambda f: order.append(f.result().value))
-            futs.append(fut)
-        for fut in futs:
-            fut.result(timeout=30)
-        blocker.result(timeout=30)
-        assert order == ["hi1", "hi2", "low1", "low2"]
-
-    def test_default_priority_keeps_fifo(self, pool):
+class TestQueueOrder:
+    def test_queued_tasks_dispatch_fifo(self, pool):
         blocker = pool.submit(_sleep(0.3))
         deadline = time.monotonic() + 10
         while pool.in_flight() == 0:
@@ -136,10 +115,49 @@ class TestPriorities:
         assert order == list(range(5))
 
 
+class TestStart:
+    def test_every_worker_launches_before_any_handshake(self, monkeypatch):
+        launched = []
+        real = WorkerPool._handshake
+
+        def spy(self, slot):
+            if not launched:
+                launched.append(sum(s.proc is not None
+                                    for s in self._slots))
+            real(self, slot)
+
+        monkeypatch.setattr(WorkerPool, "_handshake", spy)
+        pool = WorkerPool(workers=2)
+        pool.start()
+        try:
+            assert launched == [2]
+            assert len(pool.worker_pids()) == 2
+        finally:
+            pool.close()
+
+    def test_handshake_timeout_kills_every_worker(self, monkeypatch):
+        procs = []
+        real = WorkerPool._launch
+
+        def spy(self, slot):
+            real(self, slot)
+            procs.append(slot.proc)
+
+        monkeypatch.setattr(WorkerPool, "_launch", spy)
+        pool = WorkerPool(workers=2, start_timeout=0.0)
+        with pytest.raises(TimeoutError):
+            pool.start()
+        assert len(procs) == 2
+        assert not any(proc.is_alive() for proc in procs)
+        assert all(slot.proc is None and slot.conn is None
+                   for slot in pool._slots)
+        pool.close()
+
+
 class TestDrainAndClose:
     def test_drain_completes_accepted_and_rejects_new(self):
         pool = WorkerPool(workers=2, backoff_base=0.01)
-        pool.start(warm=False)
+        pool.start()
         try:
             futs = [pool.submit(_sleep(0.15)) for _ in range(4)]
             drained = []
@@ -158,7 +176,7 @@ class TestDrainAndClose:
 
     def test_close_leaves_no_orphan_workers(self):
         pool = WorkerPool(workers=2)
-        pool.start(warm=False)
+        pool.start()
         pids = pool.worker_pids()
         assert len(pids) == 2
         pool.close()
@@ -172,7 +190,7 @@ class TestDrainAndClose:
 
     def test_close_fails_queued_tasks_as_shutdown(self):
         pool = WorkerPool(workers=1, backoff_base=0.01)
-        pool.start(warm=False)
+        pool.start()
         pool.submit(_sleep(0.3))
         queued = pool.submit(_echo("never"))
         pool.close()

@@ -1,4 +1,4 @@
-"""In-process daemon tests: protocol verbs, coalescing, the hot tier,
+"""In-process daemon tests: protocol verbs, coalescing, flights,
 backpressure, drain — all over a real Unix socket against a
 :class:`ServerThread`."""
 
@@ -16,7 +16,6 @@ from repro.core import CONC, analyze_program, conservative_program
 from repro.core.tasks import AnalysisTask
 from repro.lang import parse_program, typecheck
 from repro.serve import ServeClient, ServeError, ServerThread
-from repro.serve.hotcache import DEFAULT_HOT_BYTES
 
 FIG1_BPL = """
 var Freed: [int]int;
@@ -207,37 +206,15 @@ class TestCoalescing:
             blocker.result(timeout=30)
 
 
-class TestHotTier:
-    """The daemon as ``repro serve`` runs it, with the hot tier on."""
-
-    @pytest.fixture(scope="class")
-    def hot_server(self, tmp_path_factory):
-        sock = str(tmp_path_factory.mktemp("hot") / "s.sock")
-        with ServerThread(sock, pool_size=2, queue_limit=8,
-                          hot_bytes=DEFAULT_HOT_BYTES) as st:
-            yield st
-
-    def test_repeat_submission_served_from_hot_tier(self, hot_server):
-        with ServeClient(hot_server.server.address_spec) as c:
-            first = c.submit(TWO_PROCS_BPL)
-            assert first["hot"] == 0
-            r1 = c.result(first["id"])
-            before = c.metrics()["counters"].get("hot_hits", 0)
-            second = c.submit(TWO_PROCS_BPL)
-            assert second["hot"] == len(second["procs"]) == 2
-            r2 = c.result(second["id"])
-            assert c.metrics()["counters"]["hot_hits"] == before + 2
-        assert r1["failures"] == r2["failures"] == 0
-        assert r2["report"] == r1["report"]
-
-    def test_in_flight_requests_survive_gc(self, hot_server):
+class TestFlights:
+    def test_in_flight_requests_survive_gc(self, server):
         # Flight coroutines are fire-and-forget and the event loop holds
         # tasks only weakly, so the server keeps strong references to
         # them.  Pile up concurrent requests, force a collection while
         # they are in flight, and demand every one still finishes.
         srcs = [f"procedure G{i}(x: int) {{ A1: assert x + {i} > x; }}"
                 for i in range(8)]
-        with ServeClient(hot_server.server.address_spec) as c:
+        with ServeClient(server.server.address_spec) as c:
             ids = [c.submit(src)["id"] for src in srcs]
             gc.collect()
             for rid in ids:

@@ -42,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--no-emit", action="store_true",
                     help="report findings without writing corpus files")
     ap.add_argument("--jobs-every", type=int, default=50, metavar="N",
-                    help="run the process-pool oracle every N iterations "
+                    help="run the worker-pool oracle every N iterations "
                          "(0 disables; default 50)")
     ap.add_argument("--quiet", action="store_true",
                     help="suppress progress lines")

@@ -2,12 +2,11 @@
 """CI smoke test for the analysis service.
 
 Starts a real ``python -m repro serve`` daemon, sweeps the fig5-small
-suites through ``python -m repro submit`` twice — a cold pass the
-workers compute and a hot pass the daemon's in-memory hot tier answers
-— and diffs every byte of stdout (and the exit code) of both passes
-against the batch ``python -m repro`` invocation with the same flags:
-the served path must be indistinguishable from the batch path.  The
-sweep fails if the hot pass never hit the hot tier.  Then SIGTERMs the
+suites through ``python -m repro submit`` twice — a cold pass and a
+repeat pass, which the workers' analysis memos may answer — and diffs
+every byte of stdout (and the exit code) of both passes against the
+batch ``python -m repro`` invocation with the same flags: the served
+path must be indistinguishable from the batch path.  Then SIGTERMs the
 daemon and verifies the clean-shutdown contract: exit code 0, the
 socket unlinked, and no orphaned worker processes.
 
@@ -64,7 +63,7 @@ def _alive(pid: int) -> bool:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="serve_smoke",
-        description="diff a served fig5-small sweep (cold + hot "
+        description="diff a served fig5-small sweep (cold + repeat "
                     "passes) against the batch CLI, then check clean "
                     "SIGTERM shutdown")
     ap.add_argument("--scale", type=float, default=0.5,
@@ -100,16 +99,16 @@ def main(argv: list[str] | None = None) -> int:
         src_file.write_text(suite.c_source)
         flags = ("--c", "--timeout", str(args.timeout), str(src_file))
         batch = _repro(*flags)
-        for phase in ("cold", "hot"):
+        for phase in ("cold", "repeat"):
             served = _repro("submit", "--socket", sock, *flags)
             if served.stdout == batch.stdout and \
                     served.returncode == batch.returncode:
-                print(f"  {suite.name:<12} {phase:<4} OK "
+                print(f"  {suite.name:<12} {phase:<6} OK "
                       f"({len(batch.stdout.splitlines())} lines, "
                       f"exit {batch.returncode})")
                 continue
             failures += 1
-            print(f"  {suite.name:<12} {phase:<4} MISMATCH "
+            print(f"  {suite.name:<12} {phase:<6} MISMATCH "
                   f"(batch exit {batch.returncode}, "
                   f"served exit {served.returncode})", file=sys.stderr)
             for tag, res in (("batch", batch), ("served", served)):
@@ -121,12 +120,10 @@ def main(argv: list[str] | None = None) -> int:
     sweep_secs = time.monotonic() - t0
     snapshot = client.metrics()
     client.close()
-    hot_hits = snapshot["counters"].get("hot_hits", 0)
 
     print(f"sweep finished in {sweep_secs:.1f}s; "
           f"requests {snapshot['counters'].get('requests_completed', 0)}, "
           f"coalesced {snapshot['counters'].get('coalesced_tasks', 0)}, "
-          f"hot hits {hot_hits}, "
           f"worker restarts {snapshot['pool']['restarts']}")
 
     # graceful shutdown: SIGTERM must drain, exit 0, unlink the socket,
@@ -161,16 +158,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: orphaned workers after shutdown: {orphans}",
               file=sys.stderr)
         ok = False
-    if hot_hits == 0:
-        print("FAIL: hot pass never hit the hot tier", file=sys.stderr)
-        ok = False
     if failures:
         print(f"FAIL: {failures} pass(es) diverged from the batch CLI",
               file=sys.stderr)
         ok = False
     if ok:
         print("serve smoke passed: served output byte-identical to batch "
-              "(cold and hot), clean SIGTERM shutdown, no orphans")
+              "(cold and repeat), clean SIGTERM shutdown, no orphans")
     return 0 if ok else 1
 
 
