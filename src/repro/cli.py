@@ -201,21 +201,15 @@ def build_ci_parser() -> argparse.ArgumentParser:
                          "'all'); part of the manifest's config "
                          "fingerprint, so changing it invalidates the "
                          "manifest (docs/scenarios.md)")
-    ap.add_argument("--changed-files", metavar="FILE", default=None,
-                    help="newline-separated repo-relative paths the VCS "
-                         "says this diff touched; the planner skips "
-                         "fingerprinting procedures in untouched files "
-                         "entirely, reusing the previous manifest's "
-                         "fingerprints")
     ap.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="run the dirty set on a pool of N worker "
                          "processes, in plan order (default 1: serial)")
     ap.add_argument("--cache-dir", metavar="DIR",
                     default=os.environ.get("REPRO_CACHE_DIR"),
-                    help="persistent analysis, parse and declaration "
-                         "cache (default: $REPRO_CACHE_DIR); a warm run "
-                         "loads only the files changed since the manifest, "
-                         "and renamed/moved procedures re-serve with zero "
+                    help="persistent analysis and declaration cache "
+                         "(default: $REPRO_CACHE_DIR); a warm run parses "
+                         "only the files changed since the manifest, and "
+                         "renamed/moved procedures re-serve with zero "
                          "solver work")
     ap.add_argument("--no-cache", action="store_true",
                     help="disable the persistent cache even if "
@@ -242,22 +236,12 @@ def run_ci_cmd(argv: list[str], out=sys.stdout) -> int:
         except ValueError as exc:
             print(f"error: --bug-classes: {exc}", file=sys.stderr)
             return 2
-    changed_files = None
-    if args.changed_files is not None:
-        try:
-            text = open(args.changed_files).read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        changed_files = [ln.strip() for ln in text.splitlines()
-                         if ln.strip()]
     try:
         result = run_ci(args.dir, manifest_path,
                         config=BY_NAME[args.config], prune_k=args.prune_k,
                         timeout=args.timeout, unroll_depth=args.unroll,
                         max_preds=args.max_preds, jobs=args.jobs,
-                        cache_dir=cache_dir, bug_classes=bug_classes,
-                        changed_files=changed_files)
+                        cache_dir=cache_dir, bug_classes=bug_classes)
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -272,10 +256,6 @@ def run_ci_cmd(argv: list[str], out=sys.stdout) -> int:
           f"({counts['changed']} changed, {counts['renamed']} renamed, "
           f"{counts['new']} new, {counts['dependent']} dependent), "
           f"{counts['clean']} clean [{plan.reason}]", file=out)
-    if changed_files is not None and stats["fingerprints_skipped"]:
-        print(f"ci: explicit diff skipped fingerprinting "
-              f"{stats['fingerprints_skipped']} untouched procedures",
-              file=out)
     for name in plan.order:
         report = result.reports[name]
         header = f"{name} [{args.config}]"

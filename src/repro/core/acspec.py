@@ -71,8 +71,8 @@ def find_almost_correct_specs(oracle: DeadFailOracle, cover: ClauseSet,
                 nodes += 1
                 if nodes > max_nodes:
                     raise SearchBudgetExceeded()
-                fail = oracle.fail_set_bounded(c2, min_fail,
-                                               superset_of=parent_fail)
+                fail = oracle.fail_set(c2, superset_of=parent_fail,
+                                       limit=min_fail)
                 if fail is None:
                     continue  # |Fail| > MinFail, which can only decrease
                 n_fail = len(fail)
@@ -110,21 +110,7 @@ def find_almost_correct_specs(oracle: DeadFailOracle, cover: ClauseSet,
 class SearchBudgetExceeded(Exception):
     """The Algorithm-2 frontier search exceeded ``max_nodes``; converted
     to a timeout by the analysis driver (part of the budget lifecycle
-    documented in ``docs/cli.md``).
-
-    Before this class was public it was named ``_SearchBudgetExceeded``;
-    that name is kept as a deprecated module-level alias bound to this
-    very class, so ``raise``/``except``/``isinstance`` behave
-    identically through either name (tested in
-    ``tests/core/test_budget.py``).  New code should use
-    ``SearchBudgetExceeded``.
-    """
-
-
-#: Deprecated alias for :class:`SearchBudgetExceeded` (the pre-public
-#: name).  It is the same class object — not a subclass — so exceptions
-#: raised under one name are caught under the other.
-_SearchBudgetExceeded = SearchBudgetExceeded
+    documented in ``docs/cli.md``)."""
 
 
 def _spec_key(spec: ClauseSet):

@@ -1,5 +1,5 @@
 """Persistent, content-addressed analysis cache: the disk tier of the
-analysis memo, and the parse and declaration records of CI mode.
+analysis memo, and the declaration records of CI mode.
 
 A completed unchecked analysis or Cons result lives in the in-process
 memo of `repro.core.deadfail` under its memo key
@@ -34,14 +34,12 @@ Two record kinds hold memo entries: ``analysis`` (a completed
 :class:`~repro.core.sib.SibResult`) and ``cons`` (a
 :class:`~repro.core.checker.CheckResult`).
 
-A third kind, ``parse``, lives in a second instance rooted at
-``<cache-dir>/parse``: one source file's frontend output, keyed by the
-file's bytes (see :meth:`AnalysisCache.parse_key` and
-`repro.frontend.ingest`).  A fourth, ``decls``, lives in a third
-instance rooted at ``<cache-dir>/decls`` under the same key: what the
+A third kind, ``decls``, lives in a second instance rooted at
+``<cache-dir>/decls``, keyed by one source file's bytes (see
+:meth:`AnalysisCache.source_key` and `repro.frontend.ingest`): what the
 rest of a repository needs from that file (its globals, functions and
 body-less procedure stubs, plus each procedure's callees), so a warm CI
-run can stand in for an unchanged file without decoding its bodies.
+run can stand in for an unchanged file without parsing it.
 """
 
 from __future__ import annotations
@@ -54,8 +52,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from ..lang.ast import Procedure, Program
-from ..lang.codec import (LAYOUT_DIGEST, decode, decode_program,
-                          decode_program_lazily, encode)
+from ..lang.codec import LAYOUT_DIGEST, decode, decode_program_lazily, encode
 # kept for the e2e benchmark's tracer, which wraps this name
 from ..vc.encode import procedure_fingerprint  # noqa: F401
 from .config import AbstractionConfig
@@ -72,10 +69,10 @@ from .config import AbstractionConfig
 #: v5: analysis and Cons records are memo entries named by a digest of
 #: the memo key (prepared procedure, solver settings, Dead() semantics,
 #: ``prune_k`` and Q), no longer reports keyed by configuration knobs.
-#: Parse records are keyed by source bytes, not by what the frontend
-#: makes of them, so a change to what the parser or the ``.c`` lowering
-#: emits for the same bytes is a bump too.  (A changed AST *layout*
-#: needs none: ``LAYOUT_DIGEST`` is in the parse key.)
+#: Declaration records are keyed by source bytes, not by what the
+#: frontend makes of them, so a change to what the parser or the ``.c``
+#: lowering emits for the same bytes is a bump too.  (A changed AST
+#: *layout* needs none: ``LAYOUT_DIGEST`` is in the source key.)
 SCHEMA_VERSION = 5
 
 #: Memo-entry fields that hold AST formulas, recorded through
@@ -175,14 +172,14 @@ class AnalysisCache:
         formulas."""
         return _digest("memo", repr(key))
 
-    def parse_key(self, source_digest: str, frontend: str,
-                  **inputs) -> str:
-        """The content address of one source file's frontend output:
-        the sha256 of its bytes, the frontend that reads them (its
-        suffix, ``.bpl`` or ``.c``), the other ``inputs`` that frontend
-        takes (the ``.c`` lowering's ``unroll_depth`` and
-        ``bug_classes``) and the AST layout the record is encoded
-        against."""
+    def source_key(self, source_digest: str, frontend: str,
+                   **inputs) -> str:
+        """The content address of what one source file declares: the
+        sha256 of its bytes, the frontend that reads them (its suffix,
+        ``.bpl`` or ``.c``), the other ``inputs`` that frontend takes
+        (the ``.c`` lowering's ``unroll_depth`` and ``bug_classes``) and
+        the AST layout the record is encoded against.  The tag stays
+        ``"parse"``, so records written under it keep their names."""
         return _digest("parse", f"frontend={frontend}",
                        *(f"{k}={inputs[k]}" for k in sorted(inputs)),
                        f"ast={LAYOUT_DIGEST}", source_digest)
@@ -232,7 +229,7 @@ class AnalysisCache:
             return
         try:
             # json.dumps, not json.dump: the same bytes, but dump runs
-            # the pure-Python encoder, about 10x slower on parse records
+            # the pure-Python encoder, about 10x slower on AST records
             with os.fdopen(fd, "w") as fh:
                 fh.write(json.dumps(rec, sort_keys=True))
             os.replace(tmp, self._path(key))
@@ -271,34 +268,6 @@ class AnalysisCache:
         self._write(self.entry_key(key), {"schema": SCHEMA_VERSION,
                                           "kind": key[0],
                                           "entry": _entry_to_json(entry)})
-
-    # ------------------------------------------------------------------
-    # parse records
-    # ------------------------------------------------------------------
-
-    def load_program(self, key: str) -> Program | None:
-        """The ``Program`` stored under ``key`` (one file's frontend
-        output, before merge and typecheck), or ``None``."""
-        rec = self._read(key, "parse")
-        if rec is None:
-            return None
-        try:
-            program = decode_program(rec["program"])
-        except (KeyError, TypeError, ValueError, RecursionError):
-            self.invalidations += 1
-            return None
-        self.hits += 1
-        return program
-
-    def store_program(self, key: str, program: Program) -> None:
-        """Persist one file's frontend output under ``key``."""
-        try:
-            body = encode(program)
-        except TypeError:
-            return  # not representable: stays uncached, like a failed write
-        self._write(key, {"schema": SCHEMA_VERSION, "kind": "parse",
-                          "program": body})
-
 
     # ------------------------------------------------------------------
     # declaration records

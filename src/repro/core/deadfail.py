@@ -305,47 +305,21 @@ class DeadFailOracle:
         return known, candidates
 
     def fail_set(self, clauses: ClauseSet,
-                 superset_of: frozenset | None = None) -> frozenset:
+                 superset_of: frozenset | None = None, *,
+                 limit: int | None = None) -> frozenset | None:
         """``Fail(clauses)``.  ``superset_of`` may name assertions already
         known to fail (e.g. the Fail set of a stronger parent spec); they
-        are taken on trust and never re-queried."""
+        are taken on trust and never re-queried.  With a ``limit``, a
+        set of more than ``limit`` elements is ``None``, and the
+        enumeration stops as soon as the count exceeds it (Algorithm 2's
+        ``|Fail| > MinFail`` pruning needs only the verdict)."""
         key = frozenset(clauses)
         hit = self._fail_cache.get(key)
         if hit is not None:
             self.cache_hits += 1
-            return hit
+            return hit if limit is None or len(hit) <= limit else None
         known, candidates = self._fail_bounds(key, superset_of)
-        spec = self._spec_assumptions(key)
-        out = set()
-        for ev in self.enc.assert_events:
-            if ev.aid in known:
-                out.add(ev.aid)
-                self.queries_saved += 1
-                continue
-            if ev.aid not in candidates:
-                self.queries_saved += 1
-                continue
-            self.fail_queries += 1
-            if self._check(spec + self.enc.fail_assumptions(ev.aid)) == "sat":
-                out.add(ev.aid)
-        result = frozenset(out)
-        self._fail_cache[key] = result
-        return result
-
-    def fail_set_bounded(self, clauses: ClauseSet, limit: int,
-                         superset_of: frozenset | None = None
-                         ) -> frozenset | None:
-        """``Fail(clauses)`` if it has at most ``limit`` elements, else
-        ``None`` — stopping the enumeration as soon as the count exceeds
-        the limit (Algorithm 2's ``|Fail| > MinFail`` pruning needs only
-        the verdict, not the set)."""
-        key = frozenset(clauses)
-        hit = self._fail_cache.get(key)
-        if hit is not None:
-            self.cache_hits += 1
-            return hit if len(hit) <= limit else None
-        known, candidates = self._fail_bounds(key, superset_of)
-        if len(known) > limit:
+        if limit is not None and len(known) > limit:
             self.queries_saved += 1
             return None
         spec = self._spec_assumptions(key)
@@ -362,7 +336,7 @@ class DeadFailOracle:
                 if self._check(
                         spec + self.enc.fail_assumptions(ev.aid)) == "sat":
                     out.add(ev.aid)
-            if len(out) > limit:
+            if limit is not None and len(out) > limit:
                 return None  # partial: do not poison the cache
         result = frozenset(out)
         self._fail_cache[key] = result

@@ -5,15 +5,13 @@ affect, not for the whole repo.  This module is that driver:
 
 1. **Ingest.**  `repro.frontend.ingest` merges every ``.bpl``/``.c``
    source under a directory into one typechecked program with
-   per-procedure file provenance.  With a cache directory, a file whose
-   bytes a previous run already parsed is decoded from its parse record
-   instead (``stats["files_parsed"]`` counts the files that were not,
-   ``stats["files_decoded"]`` the records decoded).  Given the previous
-   manifest as well, ingest loads only the files whose digest changed
-   and reads the others' declaration records, decoding a body-less
-   stub only where a loaded procedure calls it
-   (``stats["stubs_decoded"]``); the plan then carries those files'
-   fingerprints over from the manifest.
+   per-procedure file provenance.  With a cache directory and the
+   previous manifest, ingest parses only the files whose digest changed
+   (``stats["files_parsed"]``) and reads the others' declaration
+   records, decoding a body-less stub only where a loaded procedure
+   calls it (``stats["stubs_decoded"]``); the plan then carries those
+   files' fingerprints over from the manifest.  Otherwise it parses
+   every file.
 
 2. **Fingerprint.**  Every procedure with a body gets a *surface
    fingerprint* (:func:`repro.vc.encode.procedure_fingerprint` on the
@@ -179,8 +177,7 @@ class IncrementPlan:
     spec_fps: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     #: fingerprint computations the planner skipped, carrying them over
-    #: from the previous manifest for files the ingest did not load or
-    #: an explicit ``--changed-files`` diff left out
+    #: from the previous manifest for files the ingest did not load
     fingerprints_skipped: int = 0
 
     @property
@@ -203,19 +200,18 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
                    config: AbstractionConfig = CONC,
                    prune_k: int | None = None, unroll_depth: int = 2,
                    max_preds: int = 12,
-                   bug_classes: frozenset[str] | None = None,
-                   changed_files: list | set | None = None) -> IncrementPlan:
+                   bug_classes: frozenset[str] | None = None
+                   ) -> IncrementPlan:
     """Classify every procedure of ``repo`` against ``previous`` (a
     manifest dict or ``None``) and schedule the dirty set.
 
     Procedures defined in a file the ingest did not load (``repo`` came
     from the fast path against ``previous``) reuse the previous
-    manifest's surface and spec fingerprints.  Without the fast path,
-    ``changed_files``, an optional explicit VCS diff of repo-relative
-    paths the caller *knows* are the only ones touched, lets every
-    other file's procedures do the same.  Either is a pure
-    planning-time saving: the dirty-set classification is unchanged,
-    because an untouched file's fingerprints cannot have moved."""
+    manifest's surface and spec fingerprints: the file's digest matches
+    the manifest, and the fast path has checked that no global,
+    function or cross-file callee spec it reads moved, so its
+    fingerprints cannot have moved either.  After a full ingest every
+    procedure is fingerprinted."""
     program = repo.program
     bodied = [n for n in repo.proc_files if repo.has_body(n)]
     has_body = set(bodied)
@@ -236,12 +232,9 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
     # Carrying fingerprints over only works against a same-config
     # manifest: a cold/config run has nothing trustworthy to carry
     # them from.
-    touched = None
-    if plan.reason == "diff":
-        touched = repo.loaded if repo.loaded is not None else (
-            None if changed_files is None else set(changed_files))
+    loaded = repo.loaded if plan.reason == "diff" else None
     for name, rel in repo.proc_files.items():
-        untouched = touched is not None and rel not in touched
+        untouched = loaded is not None and rel not in loaded
         if untouched and name in prev_spec \
                 and (name not in has_body
                      or prev_procs.get(name, {}).get("surface_fp")):
@@ -355,8 +348,8 @@ class CiResult:
     delta: dict
     #: fresh ProcedureReports for the dirty set, in plan order
     reports: dict = field(default_factory=dict)
-    #: wall_seconds / files_parsed / files_decoded / stubs_decoded /
-    #: analyzed / clean / queries / cache counters
+    #: wall_seconds / files_parsed / stubs_decoded / analyzed / clean /
+    #: queries / cache counters
     stats: dict = field(default_factory=dict)
 
     @property
@@ -369,26 +362,8 @@ class CiResult:
         return sorted(n for n, r in self.reports.items() if r.failed)
 
 
-def _normalize_changed(root: Path, files: list | set) -> set:
-    """Repo-relative forms of an explicit diff's paths (absolute paths
-    are re-expressed against ``root``; already-relative ones pass
-    through)."""
-    resolved = root.resolve()
-    out = set()
-    for f in files:
-        p = Path(f)
-        if p.is_absolute():
-            try:
-                p = p.resolve().relative_to(resolved)
-            except ValueError:
-                pass  # outside the repo: keep verbatim (matches nothing)
-        out.add(str(p))
-    return out
-
-
 def run_ci(root: str | os.PathLike,
            manifest_path: str | os.PathLike | None = None, *,
-           previous: dict | None = None,
            config: AbstractionConfig = CONC,
            prune_k: int | None = None,
            timeout: float | None = 10.0,
@@ -401,14 +376,18 @@ def run_ci(root: str | os.PathLike,
            changed_files: list | set | None = None) -> CiResult:
     """One incremental CI run over the repository at ``root``.
 
-    Reads the previous manifest from ``manifest_path`` (or takes it as
-    ``previous`` directly), analyzes exactly the dirty set, carries
-    clean procedures' manifest entries over verbatim, writes the new
-    manifest back to ``manifest_path`` (when given), and returns the
-    :class:`CiResult` with the warning delta.  ``cache_dir`` holds
-    the analysis records and, under ``parse/`` and ``decls/``, the
-    parse and declaration records that let ingest load only the files
-    whose bytes changed since the previous manifest.
+    Reads the previous manifest from ``manifest_path`` (when given),
+    analyzes exactly the dirty set, carries clean procedures' manifest
+    entries over verbatim, writes the new manifest back, and returns
+    the :class:`CiResult` with the warning delta.  ``cache_dir`` holds
+    the analysis records and, under ``decls/``, the declaration records
+    that let ingest load only the files whose bytes changed since the
+    previous manifest.
+
+    ``changed_files`` is accepted and ignored: the source digests alone
+    decide which files a run may skip.  The e2e benchmark's
+    ``ci_edits`` workload still passes it, and the keyword goes once
+    that caller drops it.
 
     Raises :class:`repro.frontend.ingest.IngestError` when the sources
     do not form one coherent program, and re-raises a
@@ -416,26 +395,20 @@ def run_ci(root: str | os.PathLike,
     analysis failures are folded into the reports instead.
     """
     start = time.monotonic()
-    if previous is None and manifest_path is not None:
-        previous = load_manifest(manifest_path)
-    parse_cache = decl_cache = None
-    if cache_dir:
-        parse_cache = AnalysisCache(Path(cache_dir) / "parse")
-        decl_cache = AnalysisCache(Path(cache_dir) / "decls")
+    previous = None if manifest_path is None else \
+        load_manifest(manifest_path)
+    decl_cache = AnalysisCache(Path(cache_dir) / "decls") \
+        if cache_dir else None
     same_config = previous is not None and previous.get("config") == \
         config_fingerprint(config, prune_k=prune_k,
                            unroll_depth=unroll_depth, max_preds=max_preds,
                            bug_classes=bug_classes)
     repo = ingest_directory(root, unroll_depth=unroll_depth,
-                            bug_classes=bug_classes, cache=parse_cache,
-                            decls=decl_cache,
+                            bug_classes=bug_classes, decls=decl_cache,
                             previous=previous if same_config else None)
-    if changed_files is not None:
-        changed_files = _normalize_changed(Path(root), changed_files)
     plan = plan_increment(repo, previous, config=config, prune_k=prune_k,
                           unroll_depth=unroll_depth, max_preds=max_preds,
-                          bug_classes=bug_classes,
-                          changed_files=changed_files)
+                          bug_classes=bug_classes)
 
     tasks = [AnalysisTask(kind="analyze", proc_name=name,
                           program=repo.program, config_name=config.name,
@@ -491,7 +464,6 @@ def run_ci(root: str | os.PathLike,
     stats = {"wall_seconds": round(time.monotonic() - start, 3),
              "files": len(repo.file_digests),
              "files_parsed": repo.files_parsed,
-             "files_decoded": repo.files_decoded,
              "stubs_decoded": repo.stubs_decoded,
              "procedures": len(procedures),
              "analyzed": len(plan.order),

@@ -8,9 +8,9 @@ provenance.
 
 from .cparser import CParseError, parse_c
 from .ingest import (IngestedRepo, IngestError, discover_sources,
-                     ingest_directory, ingest_paths, merge_programs)
+                     ingest_directory, merge_programs)
 from .lower import LowerError, compile_c, lower_unit
 
 __all__ = ["CParseError", "parse_c", "LowerError", "compile_c", "lower_unit",
            "IngestedRepo", "IngestError", "discover_sources",
-           "ingest_directory", "ingest_paths", "merge_programs"]
+           "ingest_directory", "merge_programs"]

@@ -1,4 +1,4 @@
-"""Multi-file ingest: a directory (or file list) to one ``Program``.
+"""Multi-file ingest: a directory to one ``Program``.
 
 The batch CLI analyzes one file; the incremental CI driver
 (`repro.core.incremental`) analyzes a *repository* — many ``.bpl``
@@ -24,16 +24,13 @@ Merging rules:
   exactly as they would in a concatenated single file.
 
 Each source is read once: the bytes that are hashed for the manifest
-are the bytes that are parsed.  With a parse cache (an
-:class:`~repro.core.cache.AnalysisCache` rooted at ``<cache-dir>/parse``,
-see ``docs/caching.md``), a file whose digest, frontend and lowering
-inputs match a stored record is decoded from it instead of parsed or
-lowered again.
+are the bytes that are parsed.
 
-With a declaration cache as well (rooted at ``<cache-dir>/decls``) and
-the previous CI manifest, ingest takes the *fast path*: only the files
-whose digest differs from the manifest's are parsed or decoded and
-typechecked.  Every other file is read from its declaration record
+With a declaration cache (an :class:`~repro.core.cache.AnalysisCache`
+rooted at ``<cache-dir>/decls``, see ``docs/caching.md``) and the
+previous CI manifest, ingest takes the *fast path*: only the files
+whose digest differs from the manifest's are parsed and typechecked.
+Every other file is read from its declaration record
 (:func:`declarations`) for its globals, functions, procedure names and
 callee lists, and the body-less stub of one of its procedures is
 decoded only when a loaded procedure calls it.  Call elaboration (§2.1)
@@ -78,11 +75,9 @@ class IngestedRepo:
     file_digests: dict = field(default_factory=dict)
     #: procedure name -> repo-relative source path it was defined in
     proc_files: dict = field(default_factory=dict)
-    #: files parsed or lowered by this ingest (parse-cache misses; every
-    #: file when there is no cache)
+    #: files parsed or lowered by this ingest: every file, except those
+    #: the fast path stood in for with their declaration records
     files_parsed: int = 0
-    #: parse records this ingest decoded
-    files_decoded: int = 0
     #: on the fast path, the files whose procedures ``program`` holds in
     #: full; of every other file it holds only the stubs of procedures a
     #: loaded procedure calls.  ``None`` when it holds every procedure
@@ -145,7 +140,7 @@ def _parse_one(suffix: str, data: bytes, unroll_depth: int,
 def _lowering_inputs(suffix: str, unroll_depth: int,
                      bug_classes: frozenset[str] | None) -> dict:
     """What the frontend for ``suffix`` reads besides the source text:
-    part of the parse-cache key."""
+    part of the declaration record's key."""
     if suffix not in C_SUFFIXES:
         return {}
     return {"unroll_depth": unroll_depth,
@@ -213,53 +208,40 @@ class _Source:
 
 
 class _Loader:
-    """Parses or decodes the sources of one ingest, each at most once,
-    and counts the work; records are written as a side effect."""
+    """Parses the sources of one ingest, each at most once, and counts
+    the work; declaration records are written as a side effect."""
 
-    def __init__(self, cache, decls, unroll_depth: int,
+    def __init__(self, decls, unroll_depth: int,
                  bug_classes: frozenset[str] | None):
-        self.cache = cache
         self.decls = decls
         self.unroll_depth = unroll_depth
         self.bug_classes = bug_classes
         self.parsed = 0
-        self.decoded = 0
         self.programs: dict = {}
         #: declaration-record keys found malformed, to overwrite
         self.stale: set = set()
 
-    def key(self, digest: str, suffix: str) -> str | None:
-        """The record key of a source; parse and declaration records
-        share it."""
-        store = self.cache if self.cache is not None else self.decls
-        if store is None:
-            return None
-        return store.parse_key(digest, suffix, **_lowering_inputs(
+    def key(self, digest: str, suffix: str) -> str:
+        """The declaration record key of a source."""
+        return self.decls.source_key(digest, suffix, **_lowering_inputs(
             suffix, self.unroll_depth, self.bug_classes))
 
     def program(self, src: _Source) -> Program:
-        """``src``'s frontend output, decoded from its parse record or
-        parsed; :class:`IngestError` when it does not parse."""
+        """``src``'s frontend output; :class:`IngestError` when it does
+        not parse."""
         program = self.programs.get(src.rel)
         if program is not None:
             return program
-        key = self.key(src.digest, src.suffix)
-        if self.cache is not None:
-            program = self.cache.load_program(key)
-        if program is not None:
-            self.decoded += 1
-        else:
-            try:
-                program = _parse_one(src.suffix, src.data,
-                                     self.unroll_depth, self.bug_classes)
-            except (SyntaxError, TypeError, ValueError) as exc:
-                raise IngestError(f"{src.rel}: {exc}") from exc
-            self.parsed += 1
-            if self.cache is not None:
-                self.cache.store_program(key, program)
-        if self.decls is not None and (key in self.stale
-                                       or not self.decls.has_record(key)):
-            self.decls.store_decls(key, *declarations(program))
+        try:
+            program = _parse_one(src.suffix, src.data, self.unroll_depth,
+                                 self.bug_classes)
+        except (SyntaxError, TypeError, ValueError) as exc:
+            raise IngestError(f"{src.rel}: {exc}") from exc
+        self.parsed += 1
+        if self.decls is not None:
+            key = self.key(src.digest, src.suffix)
+            if key in self.stale or not self.decls.has_record(key):
+                self.decls.store_decls(key, *declarations(program))
         self.programs[src.rel] = program
         return program
 
@@ -363,37 +345,34 @@ def _ingest_changed(root: Path, sources: list, loader: _Loader,
     return IngestedRepo(root=root, program=program,
                         file_digests={s.rel: s.digest for s in sources},
                         proc_files=proc_files, files_parsed=loader.parsed,
-                        files_decoded=loader.decoded,
                         loaded=frozenset(loaded), stub_callees=stub_callees,
                         stubs_decoded=decoded)
 
 
-def ingest_paths(root: str | Path, paths: list[Path],
-                 unroll_depth: int = 2,
-                 bug_classes: frozenset[str] | None = None,
-                 cache=None, decls=None,
-                 previous: dict | None = None) -> IngestedRepo:
-    """Parse and merge an explicit file list (repo-relative provenance
-    is computed against ``root``).  ``bug_classes`` selects the
-    automatic assertion families the ``.c`` lowering inserts (see
-    `repro.scenarios.classes`; ``.bpl`` files are unaffected).
-    ``cache`` is the parse cache, an ``AnalysisCache`` rooted at
-    ``<cache-dir>/parse``, or ``None`` to parse every file.  ``decls``
-    is the declaration cache rooted at ``<cache-dir>/decls``; it gets a
-    record for every file parsed or decoded that has none.  With
-    ``decls`` and ``previous``, the last CI manifest written under the
-    same configuration (``docs/ci_mode.md``; its ``files``, ``spec_fps``
-    and surface fingerprints are read), ingest tries the fast path
-    first (module docstring)."""
+def ingest_directory(root: str | Path,
+                     unroll_depth: int = 2,
+                     bug_classes: frozenset[str] | None = None,
+                     decls=None,
+                     previous: dict | None = None) -> IngestedRepo:
+    """Discover, parse, merge and typecheck every source under ``root``.
+    ``bug_classes`` selects the automatic assertion families the ``.c``
+    lowering inserts (see `repro.scenarios.classes`; ``.bpl`` files are
+    unaffected).  ``decls`` is the declaration cache rooted at
+    ``<cache-dir>/decls``, or ``None``; it gets a record for every file
+    parsed that has none.  With ``decls`` and ``previous``, the last CI
+    manifest written under the same configuration (``docs/ci_mode.md``;
+    its ``files``, ``spec_fps`` and surface fingerprints are read),
+    ingest tries the fast path first (module docstring)."""
     root = Path(root)
+    paths = discover_sources(root)
+    if not paths:
+        raise IngestError(f"no .bpl or .c sources under {root}")
     sources = []
     for path in paths:
-        rel = str(path.relative_to(root)) if path.is_relative_to(root) \
-            else str(path)
         data = path.read_bytes()
-        sources.append(_Source(rel, path.suffix, data,
-                               hashlib.sha256(data).hexdigest()))
-    loader = _Loader(cache, decls, unroll_depth, bug_classes)
+        sources.append(_Source(str(path.relative_to(root)), path.suffix,
+                               data, hashlib.sha256(data).hexdigest()))
+    loader = _Loader(decls, unroll_depth, bug_classes)
     if decls is not None and previous is not None:
         repo = _ingest_changed(root, sources, loader, previous)
         if repo is not None:
@@ -407,22 +386,4 @@ def ingest_paths(root: str | Path, paths: list[Path],
             from exc
     return IngestedRepo(root=root, program=program,
                         file_digests={s.rel: s.digest for s in sources},
-                        proc_files=proc_files, files_parsed=loader.parsed,
-                        files_decoded=loader.decoded)
-
-
-def ingest_directory(root: str | Path,
-                     unroll_depth: int = 2,
-                     bug_classes: frozenset[str] | None = None,
-                     cache=None, decls=None,
-                     previous: dict | None = None) -> IngestedRepo:
-    """Discover, parse, merge and typecheck every source under
-    ``root`` (``cache``, ``decls`` and ``previous`` as in
-    :func:`ingest_paths`)."""
-    root = Path(root)
-    paths = discover_sources(root)
-    if not paths:
-        raise IngestError(f"no .bpl or .c sources under {root}")
-    return ingest_paths(root, paths, unroll_depth=unroll_depth,
-                        bug_classes=bug_classes, cache=cache, decls=decls,
-                        previous=previous)
+                        proc_files=proc_files, files_parsed=loader.parsed)

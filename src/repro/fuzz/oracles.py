@@ -250,13 +250,13 @@ def incremental_vs_naive(program: Program, rng: random.Random,
         return "Fail(true): conservative_fail != naive fail_set_formula"
 
     nf_strong, nd_strong = naive_fail(strong), naive_dead(strong)
-    # bounded variant first (uncached path): an insufficient limit must
-    # yield None, a sufficient one the exact set
-    if nf_strong and inc.fail_set_bounded(
-            strong, len(nf_strong) - 1) is not None:
-        return "fail_set_bounded returned a set above its limit"
-    if inc.fail_set_bounded(strong, len(nf_strong)) != nf_strong:
-        return (f"fail_set_bounded({len(nf_strong)}) disagrees with naive "
+    # a limited enumeration first (uncached path): an insufficient
+    # limit must yield None, a sufficient one the exact set
+    if nf_strong and inc.fail_set(
+            strong, limit=len(nf_strong) - 1) is not None:
+        return "fail_set returned a set above its limit"
+    if inc.fail_set(strong, limit=len(nf_strong)) != nf_strong:
+        return (f"fail_set(limit={len(nf_strong)}) disagrees with naive "
                 f"recomputation on {sorted(map(sorted, strong))}")
     f_strong, d_strong = inc.fail_set(strong), inc.dead_set(strong)
     if f_strong != nf_strong:

@@ -1,12 +1,13 @@
 """JSON codec for :mod:`repro.lang.ast` programs.
 
-The parse cache (``docs/caching.md``, "Parsed-source records") stores
-one source file's frontend output per record, so the next CI run can
-rebuild the ``Program`` instead of parsing or lowering the file again.
-The codec is built generically from the AST dataclass fields: a node or
-field added to ``repro.lang.ast`` needs no change here, and
-:data:`LAYOUT_DIGEST` (part of every record's key) moves with it, so
-records written under the old layout are never looked up.
+CI mode's declaration records (``docs/caching.md``, "Declaration
+records") store what one source file declares, so the next CI run can
+stand in for an unchanged file without parsing or lowering it again;
+analysis records store their formulas the same way.  The codec is built
+generically from the AST dataclass fields: a node or field added to
+``repro.lang.ast`` needs no change here, and :data:`LAYOUT_DIGEST`
+(part of every declaration record's key) moves with it, so records
+written under the old layout are never looked up.
 
 Encoding:
 
@@ -94,19 +95,11 @@ def decode(data):
     raise ValueError(f"not an encoded AST value: {data!r:.80}")
 
 
-def decode_program(data) -> Program:
-    """The ``Program`` that :func:`encode` turned into ``data``;
-    ``ValueError``/``TypeError`` when ``data`` is not one."""
-    program = decode(data)
-    if type(program) is not Program:
-        raise ValueError("record does not hold a Program")
-    return program
-
-
 def decode_program_lazily(data) -> Program:
-    """:func:`decode_program`, except that each procedure stays encoded
-    under its name (in order) for the caller to :func:`decode` when it
-    reads it."""
+    """The ``Program`` that :func:`encode` turned into ``data``, except
+    that each procedure stays encoded under its name (in order) for the
+    caller to :func:`decode` when it reads it; ``ValueError`` or
+    ``TypeError`` when ``data`` is not one."""
     body = data.get("Program") if type(data) is dict and len(data) == 1 \
         else None
     if type(body) is not list or len(body) != len(_FIELDS[Program]):

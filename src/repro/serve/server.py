@@ -316,7 +316,10 @@ class AnalysisServer:
             flight.waiters.append((req, idx))
             self._inflight[key] = flight
             self._spawn(self._run_flight(key, flight, task, deadline))
-        req.state = "running" if req.done < len(tasks) else "done"
+        if not tasks:
+            self._finalize(req)  # nothing to wait for
+        elif req.done < len(tasks):
+            req.state = "running"
         self.metrics.inc("requests_accepted")
         self.metrics.inc("procs_submitted", len(tasks))
         return ok(id=req.id, procs=list(proc_names),

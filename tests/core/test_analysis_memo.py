@@ -282,8 +282,7 @@ def test_ci_copy_edit_asks_no_queries(tmp_path):
     text = (repo / "util.bpl").read_text()
     clamp = text[text.index("procedure Clamp"):]
     (repo / "util.bpl").write_text(text + clamp.replace("Clamp", "Clip"))
-    rerun = run_ci(repo, manifest, cache_dir=cache_dir,
-                   changed_files=["util.bpl"])
+    rerun = run_ci(repo, manifest, cache_dir=cache_dir)
     assert rerun.plan.classes["Clip"] == "new"
     assert rerun.stats["queries"] == 0
 

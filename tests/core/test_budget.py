@@ -1,28 +1,8 @@
-"""The ``Budget`` lifecycle and the deprecated ``_SearchBudgetExceeded``
-alias (both documented in ``docs/cli.md``)."""
+"""The ``Budget`` lifecycle (documented in ``docs/cli.md``)."""
 
 import pytest
 
-from repro.core.acspec import SearchBudgetExceeded, _SearchBudgetExceeded
 from repro.core.deadfail import AnalysisTimeout, Budget
-
-
-def test_deprecated_alias_is_the_public_class():
-    # the alias is the same class object, not a subclass: code that
-    # raises either name is caught by handlers for the other
-    assert _SearchBudgetExceeded is SearchBudgetExceeded
-
-
-def test_alias_raises_as_isinstance_of_public_class():
-    with pytest.raises(SearchBudgetExceeded) as exc_info:
-        raise _SearchBudgetExceeded("legacy raise site")
-    assert isinstance(exc_info.value, SearchBudgetExceeded)
-    assert isinstance(exc_info.value, _SearchBudgetExceeded)
-
-
-def test_public_raise_caught_by_alias_handler():
-    with pytest.raises(_SearchBudgetExceeded):
-        raise SearchBudgetExceeded("new raise site")
 
 
 def test_unbounded_budget_never_expires():

@@ -15,8 +15,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.acspec import (SearchBudgetExceeded, _SearchBudgetExceeded,
-                               _spec_key, find_almost_correct_specs)
+from repro.core.acspec import (SearchBudgetExceeded, _spec_key,
+                               find_almost_correct_specs)
 from repro.core.clauses import normalize, prune_clauses
 from repro.core.cover import predicate_cover
 from repro.core.deadfail import AnalysisTimeout, Budget, DeadFailOracle
@@ -105,14 +105,14 @@ def test_bounded_fail_agrees_with_full(body, limit):
     for drop in sorted(cover, key=lambda c: sorted(c, key=abs)):
         sub = cover - {drop}
         full = plain.fail_set(sub)
-        got = bounded.fail_set_bounded(sub, limit)
+        got = bounded.fail_set(sub, limit=limit)
         if len(full) <= limit:
             assert got == full
         else:
             assert got is None
     # an unexceeded bounded call must have cached the exact set
     full = plain.fail_set(cover)
-    assert bounded.fail_set_bounded(cover, len(full)) == full
+    assert bounded.fail_set(cover, limit=len(full)) == full
     assert bounded.cached_fail(cover) == full
 
 
@@ -226,5 +226,4 @@ class TestBudget:
 
 
 def test_search_budget_exceeded_is_public_with_alias():
-    assert _SearchBudgetExceeded is SearchBudgetExceeded
     assert issubclass(SearchBudgetExceeded, Exception)

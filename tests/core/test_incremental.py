@@ -282,7 +282,7 @@ class TestFastPath:
     """A warm run with a cache and a same-config manifest loads only
     the files whose digest changed, standing in for the rest with the
     stubs of their declaration records; edits another file can see
-    fall back to the full ingest, which decodes every other file."""
+    fall back to the full ingest, which parses every file."""
 
     CLAMP = ("procedure Clamp(x: int, lo: int, hi: int) returns (r: int)\n"
              "  ensures r >= lo;\n{\n  r := x;\n  if (r < lo) { r := lo; }\n"
@@ -310,8 +310,8 @@ class TestFastPath:
         else:
             (repo / "main.bpl").write_bytes((repo / "main.bpl").read_bytes())
         rerun = run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
-        assert rerun.stats["files_decoded"] == 0
         assert rerun.stats["files_parsed"] == (kind != "noop")
+        assert rerun.stats["stubs_decoded"] == 0
         # only the edited file's procedures were fingerprinted
         assert rerun.stats["fingerprints_skipped"] == {
             "body": 3, "rename": 3, "copy": 3, "noop": 4}[kind]
@@ -359,16 +359,20 @@ class TestFastPath:
             path.write_text(text[:text.index("procedure")])
         else:
             (repo / "twice.bpl").write_text(self.CLAMP)
+        # a listing of the edited file changes nothing: the digests
+        # alone decide what a run may skip
         try:
             full = run_ci(repo, tmp_path / "m-full.json")
         except IngestError as exc:
             with pytest.raises(IngestError) as warm_exc:
-                run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
+                run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir,
+                       changed_files=[filename])
             assert str(warm_exc.value) == str(exc)
             return
-        warm = run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
-        # the full ingest: every unedited file decoded from its record
-        assert warm.stats["files_decoded"] == 3
+        warm = run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir,
+                      changed_files=[filename])
+        # the full ingest parses every file
+        assert warm.stats["files_parsed"] == warm.stats["files"]
         assert warm.plan.classes == full.plan.classes
         assert warm.plan.order == full.plan.order
         assert render_delta(warm.delta) == render_delta(full.delta)
@@ -386,7 +390,7 @@ class TestFastPath:
         edit(repo, "alloc.bpl", "procedure Note(q: int)\n",
              "procedure Note(q: int)\n  requires q >= 0;\n")
         rerun = run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
-        assert rerun.stats["files_decoded"] == 0
+        assert rerun.stats["files_parsed"] == 1
         assert rerun.plan.classes["Note"] == "changed"
         assert rerun.plan.classes["Release"] == "dependent"
         assert rerun.plan.classes["Main"] == "clean"
@@ -467,8 +471,8 @@ class TestManifestIO:
         rerun = run_ci(repo, path, cache_dir=cache_dir)
         assert rerun.plan.reason == "diff"
         assert rerun.stats["analyzed"] == 0
-        assert (rerun.stats["files_parsed"], rerun.stats["files_decoded"],
-                rerun.stats["stubs_decoded"]) == (0, 0, 0)
+        assert (rerun.stats["files_parsed"],
+                rerun.stats["stubs_decoded"]) == (0, 0)
         assert rerun.stats["fingerprints_skipped"] == \
             cold.stats["procedures"]
         assert rerun.manifest == cold.manifest

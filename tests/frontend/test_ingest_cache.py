@@ -1,11 +1,10 @@
-"""The parse cache in multi-file ingest (`repro.frontend.ingest`) and in
-`repro ci`: each source is read once, a warm ingest parses only files
-whose bytes it has not seen, ``.c`` records key on the lowering inputs,
-corrupt records degrade to re-parses, and a warm ingest equals a cold
-one under semantics-preserving edits, deletes and moves.  With
-declaration records and the previous manifest, a warm ``run_ci`` loads
-only the changed files, and it equals a run without those records under
-the same edits and under declaration edits that force the full ingest.
+"""Declaration records in multi-file ingest (`repro.frontend.ingest`)
+and in `repro ci`: each source is read once, ``.c`` records key on the
+lowering inputs, corrupt records degrade to the full ingest and are
+overwritten, and with the previous manifest a warm ``run_ci`` loads
+only the changed files.  A warm run equals a run without those records
+under semantics-preserving edits, deletes and moves, and under
+declaration edits that force the full ingest.
 
 Runs on the committed fixture repository (``tests/fixtures/ci_repo``),
 like ``tests/core/test_incremental.py``."""
@@ -60,11 +59,24 @@ def assert_same_ingest(warm, cold) -> None:
     assert warm.file_digests == cold.file_digests
 
 
+def decls_record(cache: Path, proc: str) -> Path:
+    """The declaration record of the file that defines ``proc``."""
+    return next(
+        path for path in (cache / "decls").glob("*.json")
+        if json.loads(path.read_text())["program"]["Program"][2]["dict"]
+        [0][0] == proc)
+
+
 def test_each_source_is_read_once(tmp_path, monkeypatch):
     """The bytes hashed for the manifest are the bytes parsed: an edit
-    landing between two reads would otherwise store one version's AST
-    under the other version's digest."""
+    landing between two reads would otherwise record one version's
+    declarations under the other version's digest."""
     repo = make_repo(tmp_path)
+    cache = tmp_path / "cache"
+    run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
+    previous = load_manifest(tmp_path / "m.json")
+    (repo / "util.bpl").write_text((repo / "util.bpl").read_text()
+                                   + "// edited\n")
     sources = {p.resolve() for p in discover_sources(repo)}
     opened: Counter = Counter()
     path_open, builtin_open = Path.open, builtins.open
@@ -84,51 +96,36 @@ def test_each_source_is_read_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "open", counting_path_open)
     monkeypatch.setattr(builtins, "open", counting_open)
-    for cache in (None, AnalysisCache(tmp_path / "parse"),
-                  AnalysisCache(tmp_path / "parse")):
+    # no cache, then the fast path, which parses util.bpl
+    for decls, loaded in ((None, None),
+                          (AnalysisCache(cache / "decls"), {"util.bpl"})):
         opened.clear()
-        ingest_directory(repo, cache=cache)
+        assert ingest_directory(repo, decls=decls,
+                                previous=previous).loaded == loaded
         assert opened == {p: 1 for p in sources}
-
-
-def test_warm_ingest_parses_only_changed_files(tmp_path):
-    repo = make_repo(tmp_path)
-    cache = AnalysisCache(tmp_path / "parse")
-    cold = ingest_directory(repo, cache=cache)
-    assert cold.files_parsed == 4 and cache.stores == 4
-    warm = ingest_directory(repo, cache=AnalysisCache(tmp_path / "parse"))
-    assert warm.files_parsed == 0
-    assert_same_ingest(warm, cold)
-    text = (repo / "alloc.bpl").read_text()
-    (repo / "alloc.bpl").write_text(text.replace(
-        "  Freed[p] := 1;\n", "  Freed[p] := 1;\n  R2: assert p == p;\n"))
-    edited = ingest_directory(repo, cache=AnalysisCache(tmp_path / "parse"))
-    assert edited.files_parsed == 1
-    assert_same_ingest(edited, ingest_directory(repo))
-    assert ingest_directory(repo).files_parsed == 4  # no cache
 
 
 def test_c_records_key_on_lowering_inputs(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()
     (repo / "f.c").write_text(C_SOURCE)
-    cache = AnalysisCache(tmp_path / "parse")
+    root = tmp_path / "decls"
     variants = [{}, {"bug_classes": ALL_CLASSES}, {"unroll_depth": 3},
                 {"unroll_depth": 3, "bug_classes": ALL_CLASSES}]
     lowerings = set()
     for inputs in variants:
-        warm = ingest_directory(repo, cache=cache, **inputs)
+        decls = AnalysisCache(root)
+        warm = ingest_directory(repo, decls=decls, **inputs)
         cold = ingest_directory(repo, **inputs)
-        assert warm.files_parsed == 1, inputs
+        assert decls.stores == 1, inputs
         assert_same_ingest(warm, cold)
         lowerings.add(repr(cold.program))
     assert len(lowerings) == len(variants)
-    for inputs in variants:
-        assert ingest_directory(repo, cache=cache,
-                                **inputs).files_parsed == 0
+    assert len(list(root.glob("*.json"))) == len(variants)
     # the default classes spelled out are the default
-    assert ingest_directory(repo, cache=cache,
-                            bug_classes=DEFAULT_CLASSES).files_parsed == 0
+    decls = AnalysisCache(root)
+    ingest_directory(repo, decls=decls, bug_classes=DEFAULT_CLASSES)
+    assert decls.stores == 0
 
 
 def _truncate(text: str) -> str:
@@ -142,27 +139,35 @@ def _wrong_kind(text: str) -> str:
 
 
 def _unknown_node(text: str) -> str:
-    assert '"AssertStmt"' in text
-    return text.replace('"AssertStmt"', '"Popen"')
+    assert '"SelectExpr"' in text
+    return text.replace('"SelectExpr"', '"Popen"')
 
 
 @pytest.mark.parametrize("corrupt", [_truncate, _wrong_kind, _unknown_node])
 def test_corrupt_record_is_reparsed_and_overwritten(tmp_path, corrupt):
+    """A record read on the fast path that does not decode, down to a
+    node class outside ``repro.lang.ast`` in the stub of ``Release``
+    that the edited ``Main`` calls, sends the run to the full ingest,
+    which overwrites it."""
     repo = make_repo(tmp_path)
-    root = tmp_path / "parse"
-    ingest_directory(repo, cache=AnalysisCache(root))
-    record = sorted(root.glob("*.json"))[0]
+    cache = tmp_path / "cache"
+    run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
+    previous = load_manifest(tmp_path / "m.json")
+    (repo / "main.bpl").write_text((repo / "main.bpl").read_text()
+                                   + "// edited\n")
+    record = decls_record(cache, "Release")
     good = record.read_text()
     record.write_text(corrupt(good))
-    cache = AnalysisCache(root)
-    warm = ingest_directory(repo, cache=cache)
-    assert warm.files_parsed == 1
-    assert (cache.invalidations, cache.hits, cache.stores) == (1, 3, 1)
-    assert_same_ingest(warm, ingest_directory(repo))
+    decls = AnalysisCache(cache / "decls")
+    full = ingest_directory(repo, decls=decls, previous=previous)
+    assert full.loaded is None and full.files_parsed == 4
+    assert (decls.invalidations, decls.stores) == (1, 2)
+    assert_same_ingest(full, ingest_directory(repo))
     assert record.read_text() == good
-    again = AnalysisCache(root)
-    assert ingest_directory(repo, cache=again).files_parsed == 0
-    assert again.invalidations == 0
+    again = AnalysisCache(cache / "decls")
+    fast = ingest_directory(repo, decls=again, previous=previous)
+    assert fast.loaded == {"main.bpl"} and fast.files_parsed == 1
+    assert fast.stubs_decoded == 1 and again.invalidations == 0
 
 
 def test_run_ci_reports_files_parsed_and_cli_no_cache_skips_records(
@@ -172,9 +177,10 @@ def test_run_ci_reports_files_parsed_and_cli_no_cache_skips_records(
     cold = run_ci(repo, tmp_path / "m.json", cache_dir=cache)
     idle = run_ci(repo, tmp_path / "m.json", cache_dir=cache)
     assert (cold.stats["files_parsed"], idle.stats["files_parsed"]) == (4, 0)
-    # parse records live under parse/ and stay out of the analysis
-    # counters
-    assert len(list((Path(cache) / "parse").glob("*.json"))) == 4
+    # declaration records live under decls/ and stay out of the analysis
+    # counters; nothing is written under parse/
+    assert len(list((Path(cache) / "decls").glob("*.json"))) == 4
+    assert not (Path(cache) / "parse").exists()
     assert idle.stats["cache"] == {}
     uncached = run_ci(repo, tmp_path / "m2.json")
     assert uncached.stats["files_parsed"] == 4
@@ -182,10 +188,11 @@ def test_run_ci_reports_files_parsed_and_cli_no_cache_skips_records(
     argv = ["ci", str(repo), "--manifest", str(tmp_path / "m.json")]
     on, off = tmp_path / "cli-cache", tmp_path / "cli-no-cache"
     assert cli_run(argv + ["--cache-dir", str(on)], out=io.StringIO()) == 0
-    assert len(list((on / "parse").glob("*.json"))) == 4
+    assert len(list((on / "decls").glob("*.json"))) == 4
+    assert not (on / "parse").exists()
     assert cli_run(argv + ["--cache-dir", str(off), "--no-cache"],
                    out=io.StringIO()) == 0
-    assert not (off / "parse").exists()
+    assert not (off / "decls").exists()
 
 
 def test_corrupt_declaration_record_falls_back(tmp_path):
@@ -198,20 +205,19 @@ def test_corrupt_declaration_record_falls_back(tmp_path):
     record.write_text(_truncate(good))
 
     def ingest(decls):
-        return ingest_directory(repo, cache=AnalysisCache(cache / "parse"),
-                                decls=decls, previous=previous)
+        return ingest_directory(repo, decls=decls, previous=previous)
 
     decls = AnalysisCache(cache / "decls")
     full = ingest(decls)
     assert full.loaded is None  # the full ingest
-    assert (full.files_parsed, full.files_decoded) == (0, 4)
+    assert full.files_parsed == 4
     assert decls.invalidations == 1
     assert_same_ingest(full, ingest_directory(repo))
     assert record.read_text() == good  # overwritten
     again = AnalysisCache(cache / "decls")
     fast = ingest(again)
     assert fast.loaded == frozenset()
-    assert (fast.files_parsed, fast.files_decoded) == (0, 0)
+    assert fast.files_parsed == 0
     assert again.invalidations == 0 and again.hits == 4
 
 
@@ -228,8 +234,7 @@ def test_fast_path_holds_only_the_stubs_it_calls(tmp_path, edited):
     run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
     path = repo / edited
     path.write_text(path.read_text() + "// edited\n")
-    fast = ingest_directory(repo, cache=AnalysisCache(cache / "parse"),
-                            decls=AnalysisCache(cache / "decls"),
+    fast = ingest_directory(repo, decls=AnalysisCache(cache / "decls"),
                             previous=load_manifest(tmp_path / "m.json"))
     full = ingest_directory(repo)
     assert fast.loaded == {edited}
@@ -256,10 +261,7 @@ def test_corrupt_stub_falls_back_once_called(tmp_path):
     cache = tmp_path / "cache"
     run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
     previous = load_manifest(tmp_path / "m.json")
-    record = next(
-        path for path in (cache / "decls").glob("*.json")
-        if json.loads(path.read_text())["program"]["Program"][2]["dict"]
-        [0][0] == "Release")
+    record = decls_record(cache, "Release")
     good = record.read_text()
     record.write_text(good.replace('"Procedure"', '"Popen"'))
 
@@ -267,9 +269,8 @@ def test_corrupt_stub_falls_back_once_called(tmp_path):
         path = repo / edited
         path.write_text(path.read_text() + "// edited\n")
         decls = AnalysisCache(cache / "decls")
-        return decls, ingest_directory(
-            repo, cache=AnalysisCache(cache / "parse"), decls=decls,
-            previous=previous)
+        return decls, ingest_directory(repo, decls=decls,
+                                       previous=previous)
 
     decls, fast = ingest("util.bpl")  # calls nothing
     assert fast.loaded == {"util.bpl"} and decls.invalidations == 0
@@ -372,7 +373,7 @@ def _apply(repo: Path, op: str, k: int) -> None:
 @pytest.fixture(scope="module")
 def warm_fixture(tmp_path_factory):
     """A cold ``run_ci`` over the fixture: its manifest and its cache
-    (analysis and parse records), copied into every example."""
+    (analysis and declaration records), copied into every example."""
     base = tmp_path_factory.mktemp("warm")
     repo = base / "repo"
     shutil.copytree(FIXTURE, repo)
@@ -393,47 +394,32 @@ def test_warm_ingest_equals_cold_under_edits(warm_fixture, ops):
         shutil.copytree(warm_fixture / "cache", cache)
         for manifest in ("a.json", "b.json"):
             shutil.copyfile(warm_fixture / "m.json", tmp / manifest)
-        seen = {hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in discover_sources(FIXTURE)}
-
         for op, k in ops:
             _apply(repo, op, k)
-            parse_cache = AnalysisCache(cache / "parse")
-            current = {hashlib.sha256(p.read_bytes()).hexdigest()
-                       for p in discover_sources(repo)}
-            try:
-                cold = ingest_directory(repo)
-            except IngestError as exc:
-                # deletes and declaration edits fail at merge or
-                # typecheck, after every file was parsed (and stored)
-                with pytest.raises(IngestError) as warm_exc:
-                    ingest_directory(repo, cache=parse_cache)
-                assert str(warm_exc.value) == str(exc)
-                seen |= current
-                continue
-            warm = ingest_directory(repo, cache=parse_cache)
-            assert_same_ingest(warm, cold)
-            assert warm.files_parsed == len(current - seen)
-            seen |= current
 
         # The same manifest, delta and plan, or the same IngestError,
-        # with the parse and declaration records as without them: run a
-        # may take the fast path against the fixture's manifest; run b
-        # starts from the same manifest with only the analysis records
-        # run a left, so it parses every file and is served a's
-        # analyses.  A served procedure's manifest ``wall`` is its own
-        # lookup time, so the comparison leaves walls out (a known
-        # defect, pinned in tests/core/test_incremental.py).
+        # with the declaration records as without them: run a may take
+        # the fast path against the fixture's manifest; run b starts
+        # from the same manifest with only the analysis records run a
+        # left, so it parses every file and is served a's analyses.  A
+        # served procedure's manifest ``wall`` is its own lookup time,
+        # so the comparison leaves walls out (a known defect, pinned in
+        # tests/core/test_incremental.py).
         a = _ci_or_error(repo, tmp / "a.json", cache)
         b_cache = tmp / "b-cache"
         shutil.copytree(cache, b_cache,
-                        ignore=shutil.ignore_patterns("parse", "decls"))
+                        ignore=shutil.ignore_patterns("decls"))
         b = _ci_or_error(repo, tmp / "b.json", b_cache)
         if isinstance(b, IngestError):
             assert isinstance(a, IngestError) and str(a) == str(b)
             return
         assert not isinstance(a, IngestError), str(a)
-        assert a.stats["files_parsed"] == 0
+        # the fast path parses the changed files, the full ingest all
+        before = json.loads((warm_fixture / "m.json").read_text())["files"]
+        changed = sum(before.get(str(p.relative_to(repo)))
+                      != hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in discover_sources(repo))
+        assert a.stats["files_parsed"] in (changed, a.stats["files"])
         assert b.stats["files_parsed"] == b.stats["files"]
         assert _without_walls(tmp / "a.json") == _without_walls(tmp / "b.json")
         assert render_delta(a.delta) == render_delta(b.delta)

@@ -1,4 +1,5 @@
-"""The AST JSON codec behind the parse cache (`repro.lang.codec`).
+"""The AST JSON codec behind declaration and analysis records
+(`repro.lang.codec`).
 
 Round trips go through ``json.dumps(..., sort_keys=True)``, as the cache
 writes records, and compare ``repr``: ``==`` on a dataclass ignores
@@ -16,7 +17,7 @@ from repro.frontend.lower import compile_c
 from repro.fuzz import gen
 from repro.fuzz.gen import generate_program
 from repro.lang import ast, parse_program, typecheck
-from repro.lang.codec import NODES, decode, decode_program, encode
+from repro.lang.codec import NODES, decode, decode_program_lazily, encode
 from repro.scenarios.classes import ALL_CLASSES
 
 LOWERING = Path(__file__).resolve().parents[1] / "fixtures" / "lowering"
@@ -57,8 +58,7 @@ def test_dict_order_survives_sorted_keys():
         "{ var y: int; var b: int; m := z; }")
     proc = program.proc("P")
     assert list(proc.var_types) != sorted(proc.var_types)
-    back = decode_program(json.loads(json.dumps(encode(program),
-                                                sort_keys=True)))
+    back = round_trip(program)
     assert list(back.proc("P").var_types) == list(proc.var_types)
 
 
@@ -73,7 +73,7 @@ def test_decoder_builds_only_ast_nodes():
         with pytest.raises(ValueError):
             decode(bad)
     with pytest.raises(ValueError, match="Program"):
-        decode_program(encode(ast.VarExpr("x")))
+        decode_program_lazily(encode(ast.VarExpr("x")))
 
 
 def test_encoder_rejects_values_the_ast_does_not_hold():

@@ -93,6 +93,19 @@ class TestSubmitParity:
         assert served.stdout == batch.stdout
         assert served.returncode == batch.returncode == 1
 
+    def test_file_without_procedure_bodies_matches_batch(self, daemon,
+                                                         tmp_path):
+        path = tmp_path / "decls.bpl"
+        path.write_text("var g: int;\n"
+                        "procedure Stub(x: int) returns (r: int)\n"
+                        "  ensures r >= x;\n  ;\n")
+        args = ("--config", "Conc", "--config", "A1", "--show-cons",
+                str(path))
+        batch = _repro(*args)
+        served = _repro("submit", "--socket", daemon[1], *args)
+        assert (served.stdout, served.stderr) == (batch.stdout, "")
+        assert served.returncode == batch.returncode == 0
+
     def test_socket_from_environment(self, daemon, fig1_file):
         _, sock, _ = daemon
         batch = _repro(fig1_file)

@@ -159,6 +159,23 @@ class TestVerbs:
             client.submit(FIG1_BPL, procs=["Nope"])
         assert exc.value.code == "bad_request"
 
+    @pytest.mark.parametrize("source,procs", [
+        ("var g: int;\n", None), (FIG1_BPL, [])],
+        ids=["no-bodies", "empty-procs"])
+    def test_request_without_procedures_is_finalized(self, client, source,
+                                                     procs):
+        served = client.analyze(source, procs=procs)
+        batch = analyze_program(typecheck(parse_program(source)),
+                                config=CONC, proc_names=procs)
+        assert served.reports == batch.reports == []
+        assert served.config_name == "Conc"
+        acc = client.submit(source, kind="cons", procs=procs)
+        assert acc["procs"] == []
+        assert client.status(acc["id"])["state"] == "done"
+        assert client.result(acc["id"], wait=False)["report"] == {
+            "kind": "cons", "warnings": {}, "timeouts": 0, "failures": {},
+            "cache_stats": {}}
+
     def test_malformed_json_line(self, server):
         addr = server.server.address[1]
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
