@@ -206,11 +206,9 @@ def build_ci_parser() -> argparse.ArgumentParser:
                          "processes, in plan order (default 1: serial)")
     ap.add_argument("--cache-dir", metavar="DIR",
                     default=os.environ.get("REPRO_CACHE_DIR"),
-                    help="persistent analysis and declaration cache "
-                         "(default: $REPRO_CACHE_DIR); a warm run parses "
-                         "only the files changed since the manifest, and "
-                         "renamed/moved procedures re-serve with zero "
-                         "solver work")
+                    help="persistent analysis cache (default: "
+                         "$REPRO_CACHE_DIR); renamed/moved procedures "
+                         "re-serve with zero solver work")
     ap.add_argument("--no-cache", action="store_true",
                     help="disable the persistent cache even if "
                          "--cache-dir / $REPRO_CACHE_DIR is set")

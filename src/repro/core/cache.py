@@ -1,5 +1,5 @@
 """Persistent, content-addressed analysis cache: the disk tier of the
-analysis memo, and the declaration records of CI mode.
+analysis memo.
 
 A completed unchecked analysis or Cons result lives in the in-process
 memo of `repro.core.deadfail` under its memo key
@@ -33,13 +33,6 @@ On-disk layout (see ``docs/caching.md`` for the full format):
 Two record kinds hold memo entries: ``analysis`` (a completed
 :class:`~repro.core.sib.SibResult`) and ``cons`` (a
 :class:`~repro.core.checker.CheckResult`).
-
-A third kind, ``decls``, lives in a second instance rooted at
-``<cache-dir>/decls``, keyed by one source file's bytes (see
-:meth:`AnalysisCache.source_key` and `repro.frontend.ingest`): what the
-rest of a repository needs from that file (its globals, functions and
-body-less procedure stubs, plus each procedure's callees), so a warm CI
-run can stand in for an unchanged file without parsing it.
 """
 
 from __future__ import annotations
@@ -51,8 +44,7 @@ import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from ..lang.ast import Procedure, Program
-from ..lang.codec import LAYOUT_DIGEST, decode, decode_program_lazily, encode
+from ..lang.codec import decode, encode
 # kept for the e2e benchmark's tracer, which wraps this name
 from ..vc.encode import procedure_fingerprint  # noqa: F401
 from .config import AbstractionConfig
@@ -69,10 +61,6 @@ from .config import AbstractionConfig
 #: v5: analysis and Cons records are memo entries named by a digest of
 #: the memo key (prepared procedure, solver settings, Dead() semantics,
 #: ``prune_k`` and Q), no longer reports keyed by configuration knobs.
-#: Declaration records are keyed by source bytes, not by what the
-#: frontend makes of them, so a change to what the parser or the ``.c``
-#: lowering emits for the same bytes is a bump too.  (A changed AST
-#: *layout* needs none: ``LAYOUT_DIGEST`` is in the source key.)
 SCHEMA_VERSION = 5
 
 #: Memo-entry fields that hold AST formulas, recorded through
@@ -172,18 +160,6 @@ class AnalysisCache:
         formulas."""
         return _digest("memo", repr(key))
 
-    def source_key(self, source_digest: str, frontend: str,
-                   **inputs) -> str:
-        """The content address of what one source file declares: the
-        sha256 of its bytes, the frontend that reads them (its suffix,
-        ``.bpl`` or ``.c``), the other ``inputs`` that frontend takes
-        (the ``.c`` lowering's ``unroll_depth`` and ``bug_classes``) and
-        the AST layout the record is encoded against.  The tag stays
-        ``"parse"``, so records written under it keep their names."""
-        return _digest("parse", f"frontend={frontend}",
-                       *(f"{k}={inputs[k]}" for k in sorted(inputs)),
-                       f"ast={LAYOUT_DIGEST}", source_digest)
-
     # ------------------------------------------------------------------
     # records
     # ------------------------------------------------------------------
@@ -268,58 +244,6 @@ class AnalysisCache:
         self._write(self.entry_key(key), {"schema": SCHEMA_VERSION,
                                           "kind": key[0],
                                           "entry": _entry_to_json(entry)})
-
-    # ------------------------------------------------------------------
-    # declaration records
-    # ------------------------------------------------------------------
-
-    def load_decls(self, key: str) -> tuple[Program, dict] | None:
-        """The declaration record under ``key`` (see
-        :func:`repro.frontend.ingest.declarations`): a ``Program`` that
-        holds each procedure's stub still encoded, for
-        :meth:`decode_stub`, and ``procedure -> sorted callees`` for
-        those that have a body.  ``None`` when absent or malformed (the
-        latter counted as an invalidation)."""
-        rec = self._read(key, "decls")
-        if rec is None:
-            return None
-        try:
-            program = decode_program_lazily(rec["program"])
-            callees = decode(rec["callees"])
-            if not all(type(part) is dict for part in (
-                    program.globals, program.functions, callees)):
-                raise ValueError("declaration tables are not dicts")
-            if any(name not in program.procedures or type(names) is not tuple
-                   or not all(type(n) is str for n in names)
-                   for name, names in callees.items()):
-                raise ValueError("malformed callee lists")
-        except (KeyError, TypeError, ValueError, RecursionError):
-            self.invalidations += 1
-            return None
-        self.hits += 1
-        return program, callees
-
-    def decode_stub(self, data) -> Procedure | None:
-        """One stub of a :meth:`load_decls` program, decoded, or
-        ``None`` when it is not a body-less ``Procedure`` (counted as an
-        invalidation)."""
-        try:
-            proc = decode(data)
-        except (TypeError, ValueError, RecursionError):
-            proc = None
-        if type(proc) is Procedure and proc.body is None:
-            return proc
-        self.invalidations += 1
-        return None
-
-    def store_decls(self, key: str, stubs: Program, callees: dict) -> None:
-        """Persist one file's declarations under ``key``."""
-        try:
-            rec = {"schema": SCHEMA_VERSION, "kind": "decls",
-                   "program": encode(stubs), "callees": encode(callees)}
-        except TypeError:
-            return
-        self._write(key, rec)
 
 
 def merge_cache_stats(stats_list) -> dict:

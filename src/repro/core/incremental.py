@@ -5,13 +5,12 @@ affect, not for the whole repo.  This module is that driver:
 
 1. **Ingest.**  `repro.frontend.ingest` merges every ``.bpl``/``.c``
    source under a directory into one typechecked program with
-   per-procedure file provenance.  With a cache directory and the
-   previous manifest, ingest parses only the files whose digest changed
-   (``stats["files_parsed"]``) and reads the others' declaration
-   records, decoding a body-less stub only where a loaded procedure
-   calls it (``stats["stubs_decoded"]``); the plan then carries those
-   files' fingerprints over from the manifest.  Otherwise it parses
-   every file.
+   per-procedure file provenance.  Against the previous manifest, which
+   indexes every top-level declaration (``decls``), ingest splits only
+   the files whose digest changed (``stats["files_parsed"]``) and parses
+   only the new declarations, the callers of a moved spec and the stubs
+   they call (``stats["decls_parsed"]``); the plan carries every other
+   procedure's fingerprints over.  Otherwise it parses every file.
 
 2. **Fingerprint.**  Every procedure with a body gets a *surface
    fingerprint* (:func:`repro.vc.encode.procedure_fingerprint` on the
@@ -77,14 +76,16 @@ from ..frontend.ingest import IngestedRepo, ingest_directory
 from ..scenarios.classes import DEFAULT_CLASSES, bug_class_of
 from ..vc.encode import procedure_fingerprint
 from .analysis import _reraise_certificate, failure_report, run_tasks
-from .cache import AnalysisCache, merge_cache_stats
+from .cache import merge_cache_stats
 from .config import AbstractionConfig, CONC
 from .interproc import spec_dependents, spec_fingerprint
 from .tasks import AnalysisTask
 
 #: Version of the manifest format.  A manifest of any other version is
 #: ignored (the run degrades to a cold sweep) — no migration, no mixed
-#: reads, exactly like the persistent cache's schema field.
+#: reads, exactly like the persistent cache's schema field.  The
+#: ``decls`` index is keyed by source text, so a change to what the
+#: frontends declare for the same text is a bump too.
 MANIFEST_SCHEMA = 1
 
 #: Scheduling rank per dirty class: lower runs first.  Changed (and
@@ -177,7 +178,7 @@ class IncrementPlan:
     spec_fps: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     #: fingerprint computations the planner skipped, carrying them over
-    #: from the previous manifest for files the ingest did not load
+    #: from the previous manifest for procedures the ingest did not load
     fingerprints_skipped: int = 0
 
     @property
@@ -205,11 +206,11 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
     """Classify every procedure of ``repo`` against ``previous`` (a
     manifest dict or ``None``) and schedule the dirty set.
 
-    Procedures defined in a file the ingest did not load (``repo`` came
-    from the fast path against ``previous``) reuse the previous
-    manifest's surface and spec fingerprints: the file's digest matches
-    the manifest, and the fast path has checked that no global,
-    function or cross-file callee spec it reads moved, so its
+    Procedures the ingest did not load (``repo`` came from the fast
+    path against ``previous``) reuse the previous manifest's surface and
+    spec fingerprints: the text of each one's declaration is the text
+    the manifest indexed, and the fast path has checked that no global
+    or function moved and loaded every caller of a moved spec, so their
     fingerprints cannot have moved either.  After a full ingest every
     procedure is fingerprinted."""
     program = repo.program
@@ -233,8 +234,8 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
     # manifest: a cold/config run has nothing trustworthy to carry
     # them from.
     loaded = repo.loaded if plan.reason == "diff" else None
-    for name, rel in repo.proc_files.items():
-        untouched = loaded is not None and rel not in loaded
+    for name in repo.proc_files:
+        untouched = loaded is not None and name not in loaded
         if untouched and name in prev_spec \
                 and (name not in has_body
                      or prev_procs.get(name, {}).get("surface_fp")):
@@ -244,7 +245,7 @@ def plan_increment(repo: IngestedRepo, previous: dict | None, *,
             plan.fingerprints_skipped += 1
             continue
         proc = program.procedures.get(name)
-        if proc is None or name in repo.stub_callees:
+        if proc is None or proc.body is None and name in has_body:
             raise ValueError(f"no fingerprint of stubbed procedure "
                              f"{name!r}: plan against the manifest the "
                              f"ingest read")
@@ -348,7 +349,7 @@ class CiResult:
     delta: dict
     #: fresh ProcedureReports for the dirty set, in plan order
     reports: dict = field(default_factory=dict)
-    #: wall_seconds / files_parsed / stubs_decoded / analyzed / clean /
+    #: wall_seconds / files_parsed / decls_parsed / analyzed / clean /
     #: queries / cache counters
     stats: dict = field(default_factory=dict)
 
@@ -379,10 +380,10 @@ def run_ci(root: str | os.PathLike,
     Reads the previous manifest from ``manifest_path`` (when given),
     analyzes exactly the dirty set, carries clean procedures' manifest
     entries over verbatim, writes the new manifest back, and returns
-    the :class:`CiResult` with the warning delta.  ``cache_dir`` holds
-    the analysis records and, under ``decls/``, the declaration records
-    that let ingest load only the files whose bytes changed since the
-    previous manifest.
+    the :class:`CiResult` with the warning delta.  Against a manifest
+    of the same configuration, ingest parses only the declarations
+    whose text changed since it (``repro.frontend.ingest``).
+    ``cache_dir`` holds the analysis records.
 
     ``changed_files`` is accepted and ignored: the source digests alone
     decide which files a run may skip.  The e2e benchmark's
@@ -397,14 +398,12 @@ def run_ci(root: str | os.PathLike,
     start = time.monotonic()
     previous = None if manifest_path is None else \
         load_manifest(manifest_path)
-    decl_cache = AnalysisCache(Path(cache_dir) / "decls") \
-        if cache_dir else None
     same_config = previous is not None and previous.get("config") == \
         config_fingerprint(config, prune_k=prune_k,
                            unroll_depth=unroll_depth, max_preds=max_preds,
                            bug_classes=bug_classes)
     repo = ingest_directory(root, unroll_depth=unroll_depth,
-                            bug_classes=bug_classes, decls=decl_cache,
+                            bug_classes=bug_classes,
                             previous=previous if same_config else None)
     plan = plan_increment(repo, previous, config=config, prune_k=prune_k,
                           unroll_depth=unroll_depth, max_preds=max_preds,
@@ -451,6 +450,7 @@ def run_ci(root: str | os.PathLike,
     manifest = {"schema": MANIFEST_SCHEMA,
                 "config": plan.config,
                 "files": dict(repo.file_digests),
+                "decls": repo.decl_index,
                 "spec_fps": dict(plan.spec_fps),
                 "procedures": procedures}
     delta = warning_delta(previous if plan.reason == "diff" else None,
@@ -464,7 +464,7 @@ def run_ci(root: str | os.PathLike,
     stats = {"wall_seconds": round(time.monotonic() - start, 3),
              "files": len(repo.file_digests),
              "files_parsed": repo.files_parsed,
-             "stubs_decoded": repo.stubs_decoded,
+             "decls_parsed": repo.decls_parsed,
              "procedures": len(procedures),
              "analyzed": len(plan.order),
              "clean": len(plan.clean),

@@ -111,10 +111,17 @@ class CParser:
                 self.struct_names.add(self.ident())
                 self.expect(";")
                 continue
+            line = self.peek().line
             ty = self.parse_type()
             name = self.ident()
             if self.at("("):
                 fn = self.parse_function(ty, name)
+                old = functions.get(name)
+                if old is not None and old.body is not None:
+                    if fn.body is not None:
+                        raise CParseError(f"function {name!r} defined "
+                                          f"twice, again at line {line}")
+                    continue  # a prototype never replaces a definition
                 functions[name] = fn
             else:
                 self.expect(";")

@@ -95,12 +95,19 @@ class Parser:
         functions: dict = {}
         procedures: dict = {}
         while self.peek().kind != "eof":
+            # a redeclaration is an error unless it repeats the global's
+            # type or the function's arity, as merging files allows
+            line = self.peek().line
             if self.at("var"):
                 self.next()
                 name = self.ident()
                 self.expect(":")
                 ty = self.parse_type()
                 self.expect(";")
+                if globals_.get(name, ty) != ty:
+                    raise ParseError(
+                        f"global {name!r} redeclared as {ty}, not "
+                        f"{globals_[name]}, at line {line}")
                 globals_[name] = ty
             elif self.at("function"):
                 self.next()
@@ -117,9 +124,16 @@ class Parser:
                 self.expect(":")
                 self.expect("int")
                 self.expect(";")
+                if functions.get(name, arity) != arity:
+                    raise ParseError(
+                        f"function {name!r} redeclared with arity {arity}, "
+                        f"not {functions[name]}, at line {line}")
                 functions[name] = arity
             elif self.at("procedure"):
                 proc = self.parse_procedure()
+                if proc.name in procedures:
+                    raise ParseError(f"procedure {proc.name!r} declared "
+                                     f"twice, again at line {line}")
                 procedures[proc.name] = proc
             else:
                 t = self.peek()

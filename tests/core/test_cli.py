@@ -119,6 +119,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ASCII digits at line 3" in err
 
+    def test_procedure_defined_twice_exits_2(self, tmp_path, capsys):
+        # the second definition used to replace the failing first one
+        p = tmp_path / "twice.bpl"
+        p.write_text("procedure f()\n{\n  A1: assert 1 == 2;\n}\n"
+                     "procedure f()\n{\n  A2: assert 1 == 1;\n}\n")
+        out = io.StringIO()
+        assert run([str(p)], out=out) == 2
+        assert out.getvalue() == ""
+        assert "procedure 'f' declared twice, again at line 5" in \
+            capsys.readouterr().err
+        assert run(["ci", str(tmp_path), "--manifest",
+                    str(tmp_path / "m.json")], out=out) == 2
+        assert "procedure 'f' declared twice, again at line 5" in \
+            capsys.readouterr().err
+
+    def test_c_prototype_after_definition_keeps_it(self, tmp_path):
+        p = tmp_path / "f.c"
+        for src in ("void f(int *p) { *p = 1; }\n",
+                    "void f(int *p) { *p = 1; }\nvoid f(int *p);\n"):
+            p.write_text(src)
+            out = io.StringIO()
+            run(["--c", "--show-cons", str(p)], out=out)
+            assert "conservative warnings: deref$1" in out.getvalue()
+
     def test_bad_config_rejected(self, fig1_file):
         with pytest.raises(SystemExit):
             run(["--config", "Zmax", fig1_file])

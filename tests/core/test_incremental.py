@@ -279,10 +279,11 @@ def _without_walls(manifest: dict) -> dict:
 
 
 class TestFastPath:
-    """A warm run with a cache and a same-config manifest loads only
-    the files whose digest changed, standing in for the rest with the
-    stubs of their declaration records; edits another file can see
-    fall back to the full ingest, which parses every file."""
+    """A warm run against a same-config manifest parses only the
+    declarations whose digest changed, the callers of a spec that moved
+    and the stubs those call, standing in for everything else with the
+    manifest's index; edits the index cannot stand in for fall back to
+    the full ingest, which parses every file."""
 
     CLAMP = ("procedure Clamp(x: int, lo: int, hi: int) returns (r: int)\n"
              "  ensures r >= lo;\n{\n  r := x;\n  if (r < lo) { r := lo; }\n"
@@ -311,10 +312,11 @@ class TestFastPath:
             (repo / "main.bpl").write_bytes((repo / "main.bpl").read_bytes())
         rerun = run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir)
         assert rerun.stats["files_parsed"] == (kind != "noop")
-        assert rerun.stats["stubs_decoded"] == 0
-        # only the edited file's procedures were fingerprinted
+        # one declaration parsed, which calls nothing, so no stub
+        assert rerun.stats["decls_parsed"] == (kind != "noop")
+        # only the parsed declaration's procedure was fingerprinted
         assert rerun.stats["fingerprints_skipped"] == {
-            "body": 3, "rename": 3, "copy": 3, "noop": 4}[kind]
+            "body": 3, "rename": 3, "copy": 4, "noop": 4}[kind]
         expected = {"body": {"Release": "changed"},
                     "rename": {"Clip": "renamed"},
                     "copy": {"Clip": "new"}, "noop": {}}[kind]
@@ -371,8 +373,15 @@ class TestFastPath:
             return
         warm = run_ci(repo, tmp_path / "m.json", cache_dir=cache_dir,
                       changed_files=[filename])
-        # the full ingest parses every file
-        assert warm.stats["files_parsed"] == warm.stats["files"]
+        if name == "change a cross-file callee's requires":
+            # the fast path parses Release's declaration and, as Main in
+            # main.bpl depends on its spec, Main's
+            assert (warm.stats["files_parsed"],
+                    warm.stats["decls_parsed"]) == (1, 2)
+            assert warm.plan.classes["Main"] == "dependent"
+        else:
+            # the full ingest parses every file
+            assert warm.stats["files_parsed"] == warm.stats["files"]
         assert warm.plan.classes == full.plan.classes
         assert warm.plan.order == full.plan.order
         assert render_delta(warm.delta) == render_delta(full.delta)
@@ -472,7 +481,7 @@ class TestManifestIO:
         assert rerun.plan.reason == "diff"
         assert rerun.stats["analyzed"] == 0
         assert (rerun.stats["files_parsed"],
-                rerun.stats["stubs_decoded"]) == (0, 0)
+                rerun.stats["decls_parsed"]) == (0, 0)
         assert rerun.stats["fingerprints_skipped"] == \
             cold.stats["procedures"]
         assert rerun.manifest == cold.manifest

@@ -54,6 +54,18 @@ class TestTopLevel:
         assert unit.functions["ext"].body is None
         assert unit.functions["f"].body is not None
 
+    def test_prototype_never_replaces_a_definition(self):
+        for src in ("void f(int *p) { *p = 1; }\nvoid f(int *p);",
+                    "void f(int *p);\nvoid f(int *p) { *p = 1; }\n"
+                    "void f(int *p);"):
+            assert parse_c(src).functions["f"].body is not None
+
+    def test_second_definition_rejected(self):
+        with pytest.raises(CParseError,
+                           match="'f' defined twice, again at line 2"):
+            parse_c("void f(int *p) { *p = 1; }\n"
+                    "void f(int *p) { *p = 2; }")
+
     def test_params(self):
         fn = first_fn("void f(int a, char *b) { a = 1; }")
         assert fn.params[0][0] == "a"

@@ -1,10 +1,12 @@
-"""Declaration records in multi-file ingest (`repro.frontend.ingest`)
-and in `repro ci`: each source is read once, ``.c`` records key on the
-lowering inputs, corrupt records degrade to the full ingest and are
-overwritten, and with the previous manifest a warm ``run_ci`` loads
-only the changed files.  A warm run equals a run without those records
-under semantics-preserving edits, deletes and moves, and under
-declaration edits that force the full ingest.
+"""The declaration index in multi-file ingest (`repro.frontend.ingest`)
+and in `repro ci`: each source is read once, a ``.c`` file is one unit
+lowered under the run's inputs, a malformed or misdescribing index
+degrades to the full ingest, and against the previous manifest a warm
+``run_ci`` parses only the declarations that changed and the stubs
+they call, with or without a cache.  A warm run equals a run against
+the same manifest without its index under semantics-preserving edits,
+deletes and moves, edits inside one file, and declaration edits that
+force the full ingest.
 
 Runs on the committed fixture repository (``tests/fixtures/ci_repo``),
 like ``tests/core/test_incremental.py``."""
@@ -12,6 +14,7 @@ like ``tests/core/test_incremental.py``."""
 from __future__ import annotations
 
 import builtins
+import copy
 import hashlib
 import io
 import json
@@ -25,10 +28,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import run as cli_run
-from repro.core.cache import AnalysisCache
 from repro.core.incremental import load_manifest, render_delta, run_ci
 from repro.frontend.ingest import IngestError, discover_sources, \
     ingest_directory
+from repro.frontend.lower import compile_c
 from repro.lang import parse_program
 from repro.lang.ast import stmt_callees
 from repro.lang.transform import spec_stub
@@ -59,24 +62,19 @@ def assert_same_ingest(warm, cold) -> None:
     assert warm.file_digests == cold.file_digests
 
 
-def decls_record(cache: Path, proc: str) -> Path:
-    """The declaration record of the file that defines ``proc``."""
-    return next(
-        path for path in (cache / "decls").glob("*.json")
-        if json.loads(path.read_text())["program"]["Program"][2]["dict"]
-        [0][0] == proc)
+def append(repo: Path, name: str, text: str = "// edited\n") -> None:
+    path = repo / name
+    path.write_text(path.read_text() + text)
 
 
 def test_each_source_is_read_once(tmp_path, monkeypatch):
     """The bytes hashed for the manifest are the bytes parsed: an edit
-    landing between two reads would otherwise record one version's
+    landing between two reads would otherwise index one version's
     declarations under the other version's digest."""
     repo = make_repo(tmp_path)
-    cache = tmp_path / "cache"
-    run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
+    run_ci(repo, tmp_path / "m.json")
     previous = load_manifest(tmp_path / "m.json")
-    (repo / "util.bpl").write_text((repo / "util.bpl").read_text()
-                                   + "// edited\n")
+    append(repo, "main.bpl")
     sources = {p.resolve() for p in discover_sources(repo)}
     opened: Counter = Counter()
     path_open, builtin_open = Path.open, builtins.open
@@ -96,155 +94,171 @@ def test_each_source_is_read_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "open", counting_path_open)
     monkeypatch.setattr(builtins, "open", counting_open)
-    # no cache, then the fast path, which parses util.bpl
-    for decls, loaded in ((None, None),
-                          (AnalysisCache(cache / "decls"), {"util.bpl"})):
+    # the full ingest, then the fast path, which parses Main and, for
+    # its stub, Release's declaration in alloc.bpl
+    for manifest, loaded in ((None, None), (previous, {"Main"})):
         opened.clear()
-        assert ingest_directory(repo, decls=decls,
-                                previous=previous).loaded == loaded
+        assert ingest_directory(repo, previous=manifest).loaded == loaded
         assert opened == {p: 1 for p in sources}
 
 
-def test_c_records_key_on_lowering_inputs(tmp_path):
+def test_c_index_entry_keys_on_lowering(tmp_path):
+    """A ``.c`` file is one declaration unit, lowered under the run's
+    ``unroll_depth`` and ``bug_classes``.  Its index entry serves only a
+    run under the inputs it was made with, which the manifest's config
+    records: another run lowers the file again."""
     repo = tmp_path / "repo"
     repo.mkdir()
     (repo / "f.c").write_text(C_SOURCE)
-    root = tmp_path / "decls"
+    manifest = tmp_path / "m.json"
     variants = [{}, {"bug_classes": ALL_CLASSES}, {"unroll_depth": 3},
                 {"unroll_depth": 3, "bug_classes": ALL_CLASSES}]
     lowerings = set()
     for inputs in variants:
-        decls = AnalysisCache(root)
-        warm = ingest_directory(repo, decls=decls, **inputs)
         cold = ingest_directory(repo, **inputs)
-        assert decls.stores == 1, inputs
-        assert_same_ingest(warm, cold)
+        assert cold.decls_parsed == 1
+        assert repr(cold.program) == repr(compile_c(C_SOURCE, **inputs))
         lowerings.add(repr(cold.program))
+        first = run_ci(repo, manifest, timeout=None, **inputs)
+        again = run_ci(repo, manifest, timeout=None, **inputs)
+        assert first.plan.reason in ("cold", "config")
+        assert (first.stats["decls_parsed"], again.plan.reason,
+                again.stats["decls_parsed"]) == (1, "diff", 0)
     assert len(lowerings) == len(variants)
-    assert len(list(root.glob("*.json"))) == len(variants)
     # the default classes spelled out are the default
-    decls = AnalysisCache(root)
-    ingest_directory(repo, decls=decls, bug_classes=DEFAULT_CLASSES)
-    assert decls.stores == 0
+    run_ci(repo, manifest, timeout=None)
+    spelled = run_ci(repo, manifest, timeout=None,
+                     bug_classes=DEFAULT_CLASSES)
+    assert (spelled.plan.reason, spelled.stats["decls_parsed"]) == \
+        ("diff", 0)
 
 
-def _truncate(text: str) -> str:
-    return text[:len(text) // 2]
+def _drop(manifest: dict) -> None:
+    del manifest["decls"]
 
 
-def _wrong_kind(text: str) -> str:
-    rec = json.loads(text)
-    rec["kind"] = "analysis"
-    return json.dumps(rec)
+def _drop_file(manifest: dict) -> None:
+    del manifest["decls"]["util.bpl"]
 
 
-def _unknown_node(text: str) -> str:
-    assert '"SelectExpr"' in text
-    return text.replace('"SelectExpr"', '"Popen"')
+def _not_a_list(manifest: dict) -> None:
+    index = manifest["decls"]
+    index["util.bpl"] = {"units": index["util.bpl"]}
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _wrong_kind, _unknown_node])
-def test_corrupt_record_is_reparsed_and_overwritten(tmp_path, corrupt):
-    """A record read on the fast path that does not decode, down to a
-    node class outside ``repro.lang.ast`` in the stub of ``Release``
-    that the edited ``Main`` calls, sends the run to the full ingest,
-    which overwrites it."""
+def _not_a_string(manifest: dict) -> None:
+    entry = manifest["decls"]["main.bpl"][0]
+    manifest["decls"]["main.bpl"][0] = entry.split(";")
+
+
+def _short_digest(manifest: dict) -> None:
+    manifest["decls"]["main.bpl"][0] = \
+        manifest["decls"]["main.bpl"][0][1:]
+
+
+def _unknown_type(manifest: dict) -> None:
+    entry = manifest["decls"]["alloc.bpl"][0]
+    assert entry.endswith(";var Freed [int]int")
+    manifest["decls"]["alloc.bpl"][0] = entry.replace("[int]int", "Popen")
+
+
+def _negative_arity(manifest: dict) -> None:
+    manifest["decls"]["util.bpl"][0] += ";function spm -1"
+
+
+def _unknown_kind(manifest: dict) -> None:
+    entry = manifest["decls"]["util.bpl"][0]
+    manifest["decls"]["util.bpl"][0] = entry.replace(";procedure ", ";struct ")
+
+
+def _unclosed_callees(manifest: dict) -> None:
+    entry = manifest["decls"]["main.bpl"][0]
+    assert entry.endswith(";procedure Main {Release}")
+    manifest["decls"]["main.bpl"][0] = entry[:-1]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop, _drop_file, _not_a_list, _not_a_string, _short_digest,
+    _unknown_type, _negative_arity, _unknown_kind, _unclosed_callees])
+def test_malformed_index_takes_the_full_ingest(tmp_path, corrupt):
+    """A manifest is outside input: an index that is missing, does not
+    cover the manifest's files, or has an entry of another shape makes
+    the run parse every file, with the outputs of the fast path, and the
+    manifest it writes has a sound index again."""
     repo = make_repo(tmp_path)
-    cache = tmp_path / "cache"
-    run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
-    previous = load_manifest(tmp_path / "m.json")
-    (repo / "main.bpl").write_text((repo / "main.bpl").read_text()
-                                   + "// edited\n")
-    record = decls_record(cache, "Release")
-    good = record.read_text()
-    record.write_text(corrupt(good))
-    decls = AnalysisCache(cache / "decls")
-    full = ingest_directory(repo, decls=decls, previous=previous)
-    assert full.loaded is None and full.files_parsed == 4
-    assert (decls.invalidations, decls.stores) == (1, 2)
-    assert_same_ingest(full, ingest_directory(repo))
-    assert record.read_text() == good
-    again = AnalysisCache(cache / "decls")
-    fast = ingest_directory(repo, decls=again, previous=previous)
-    assert fast.loaded == {"main.bpl"} and fast.files_parsed == 1
-    assert fast.stubs_decoded == 1 and again.invalidations == 0
+    run_ci(repo, tmp_path / "good.json")
+    manifest = json.loads((tmp_path / "good.json").read_text())
+    corrupt(manifest)
+    (tmp_path / "bad.json").write_text(json.dumps(manifest))
+    append(repo, "main.bpl")
+    fast = run_ci(repo, tmp_path / "good.json")
+    full = run_ci(repo, tmp_path / "bad.json")
+    assert (fast.stats["files_parsed"], full.stats["files_parsed"]) == (1, 4)
+    assert full.plan.reason == "diff"
+    assert full.plan.classes == fast.plan.classes
+    assert render_delta(full.delta) == render_delta(fast.delta)
+    assert _without_walls(tmp_path / "bad.json") == \
+        _without_walls(tmp_path / "good.json")
+    again = run_ci(repo, tmp_path / "bad.json")
+    assert (again.stats["files_parsed"], again.stats["decls_parsed"]) == \
+        (0, 0)
 
 
 def test_run_ci_reports_files_parsed_and_cli_no_cache_skips_records(
         tmp_path):
+    """Only analysis records live in a cache: no ``parse/`` or
+    ``decls/`` directory.  The fast path needs only the manifest, so a
+    run without a cache takes it too."""
     repo = make_repo(tmp_path)
     cache = str(tmp_path / "cache")
     cold = run_ci(repo, tmp_path / "m.json", cache_dir=cache)
     idle = run_ci(repo, tmp_path / "m.json", cache_dir=cache)
-    assert (cold.stats["files_parsed"], idle.stats["files_parsed"]) == (4, 0)
-    # declaration records live under decls/ and stay out of the analysis
-    # counters; nothing is written under parse/
-    assert len(list((Path(cache) / "decls").glob("*.json"))) == 4
-    assert not (Path(cache) / "parse").exists()
+    # alloc.bpl holds two declarations, every other file one
+    assert (cold.stats["files_parsed"], cold.stats["decls_parsed"]) == (4, 5)
+    assert (idle.stats["files_parsed"], idle.stats["decls_parsed"]) == (0, 0)
+    assert not [p for p in Path(cache).iterdir() if p.is_dir()]
     assert idle.stats["cache"] == {}
-    uncached = run_ci(repo, tmp_path / "m2.json")
-    assert uncached.stats["files_parsed"] == 4
+    append(repo, "util.bpl")
+    uncached = run_ci(repo, tmp_path / "m.json")
+    assert uncached.plan.reason == "diff"
+    assert (uncached.stats["files_parsed"],
+            uncached.stats["decls_parsed"]) == (1, 1)
 
-    argv = ["ci", str(repo), "--manifest", str(tmp_path / "m.json")]
+    # cold CLI runs: the fixture's warnings are all new
     on, off = tmp_path / "cli-cache", tmp_path / "cli-no-cache"
-    assert cli_run(argv + ["--cache-dir", str(on)], out=io.StringIO()) == 0
-    assert len(list((on / "decls").glob("*.json"))) == 4
-    assert not (on / "parse").exists()
-    assert cli_run(argv + ["--cache-dir", str(off), "--no-cache"],
-                   out=io.StringIO()) == 0
-    assert not (off / "decls").exists()
-
-
-def test_corrupt_declaration_record_falls_back(tmp_path):
-    repo = make_repo(tmp_path)
-    cache = tmp_path / "cache"
-    run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
-    previous = load_manifest(tmp_path / "m.json")
-    record = sorted((cache / "decls").glob("*.json"))[0]
-    good = record.read_text()
-    record.write_text(_truncate(good))
-
-    def ingest(decls):
-        return ingest_directory(repo, decls=decls, previous=previous)
-
-    decls = AnalysisCache(cache / "decls")
-    full = ingest(decls)
-    assert full.loaded is None  # the full ingest
-    assert full.files_parsed == 4
-    assert decls.invalidations == 1
-    assert_same_ingest(full, ingest_directory(repo))
-    assert record.read_text() == good  # overwritten
-    again = AnalysisCache(cache / "decls")
-    fast = ingest(again)
-    assert fast.loaded == frozenset()
-    assert fast.files_parsed == 0
-    assert again.invalidations == 0 and again.hits == 4
+    for cache_dir, extra in ((on, []), (off, ["--no-cache"])):
+        argv = ["ci", str(repo), "--manifest", str(cache_dir) + ".json",
+                "--cache-dir", str(cache_dir), *extra]
+        assert cli_run(argv, out=io.StringIO()) == 1
+    assert list(on.glob("*.json"))
+    assert not [p for p in on.iterdir() if p.is_dir()]
+    assert not off.exists()
 
 
 @pytest.mark.parametrize("edited", ["alloc.bpl", "buggy.bpl", "main.bpl",
                                     "util.bpl"])
 def test_fast_path_holds_only_the_stubs_it_calls(tmp_path, edited):
-    """After a one-file edit the fast path holds that file's procedures
-    and, decoded, the stubs of the procedures they call in other files
-    (``main.bpl``'s ``Main`` calls ``alloc.bpl``'s ``Release``); every
-    other name it answers from the declaration records, as the full
-    ingest does."""
+    """After an edit to one declaration the fast path holds that
+    declaration's procedure and the stubs of the procedures it calls,
+    each parsed from its own declaration (``main.bpl``'s ``Main`` calls
+    ``alloc.bpl``'s ``Release``); every other name it answers from the
+    manifest's index, as the full ingest does."""
     repo = make_repo(tmp_path)
-    cache = tmp_path / "cache"
-    run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
-    path = repo / edited
-    path.write_text(path.read_text() + "// edited\n")
-    fast = ingest_directory(repo, decls=AnalysisCache(cache / "decls"),
-                            previous=load_manifest(tmp_path / "m.json"))
+    run_ci(repo, tmp_path / "m.json")
+    append(repo, edited)
+    fast = ingest_directory(repo, previous=load_manifest(tmp_path / "m.json"))
     full = ingest_directory(repo)
-    assert fast.loaded == {edited}
+    # every file holds one procedure, the last declaration, which the
+    # appended comment joins
+    own = {name for name, rel in full.proc_files.items() if rel == edited}
+    assert fast.loaded == own and len(own) == 1
     assert fast.proc_files == full.proc_files
     procs = full.program.procedures
-    own = {name for name, rel in full.proc_files.items() if rel == edited}
     calls = {callee for name in own if procs[name].body is not None
              for callee in stmt_callees(procs[name].body)} - own
     assert set(fast.program.procedures) == own | calls
-    assert fast.stubs_decoded == len(calls) == (edited == "main.bpl")
+    assert fast.files_parsed == 1
+    assert fast.decls_parsed == 1 + len(calls) == 1 + (edited == "main.bpl")
     for name in own:
         assert fast.program.procedures[name] == procs[name]
     for name in calls:
@@ -252,31 +266,28 @@ def test_fast_path_holds_only_the_stubs_it_calls(tmp_path, edited):
     assert {name: fast.has_body(name) for name in procs} == \
         {name: full.has_body(name) for name in procs}
     assert fast.call_graph() == full.call_graph()
+    assert fast.decl_index == full.decl_index
 
 
 def test_corrupt_stub_falls_back_once_called(tmp_path):
-    """A stub is decoded, and so found malformed, only when a loaded
-    procedure calls it; the full ingest then overwrites its record."""
+    """An index entry that does not describe its declaration is found
+    only when the declaration is parsed, as the stub a parsed procedure
+    calls; the full ingest then takes over and indexes it afresh."""
     repo = make_repo(tmp_path)
-    cache = tmp_path / "cache"
-    run_ci(repo, tmp_path / "m.json", cache_dir=str(cache))
+    run_ci(repo, tmp_path / "m.json")
     previous = load_manifest(tmp_path / "m.json")
-    record = decls_record(cache, "Release")
-    good = record.read_text()
-    record.write_text(good.replace('"Procedure"', '"Popen"'))
+    entry = previous["decls"]["alloc.bpl"][1]
+    assert entry.endswith(";procedure Release {}")
+    previous["decls"]["alloc.bpl"][1] = entry.replace("{}", "{Clamp}")
 
-    def ingest(edited):
-        path = repo / edited
-        path.write_text(path.read_text() + "// edited\n")
-        decls = AnalysisCache(cache / "decls")
-        return decls, ingest_directory(repo, decls=decls,
-                                       previous=previous)
-
-    decls, fast = ingest("util.bpl")  # calls nothing
-    assert fast.loaded == {"util.bpl"} and decls.invalidations == 0
-    decls, full = ingest("main.bpl")  # calls Release
-    assert full.loaded is None and decls.invalidations == 1
-    assert record.read_text() == good
+    append(repo, "util.bpl")  # Clamp calls nothing
+    fast = ingest_directory(repo, previous=copy.deepcopy(previous))
+    assert fast.loaded == {"Clamp"}
+    append(repo, "main.bpl")  # Main calls Release
+    full = ingest_directory(repo, previous=previous)
+    assert full.loaded is None
+    assert_same_ingest(full, ingest_directory(repo))
+    assert full.decl_index["alloc.bpl"][1] == entry
 
 
 # ----------------------------------------------------------------------
@@ -286,15 +297,22 @@ def test_corrupt_stub_falls_back_once_called(tmp_path):
 # The edits are the semantics-preserving mutations of fault-localization
 # robustness studies (comment insertion, variable rename, dead code),
 # plus file deletes and moves, plus declaration edits another file can
-# see, which the warm CI run must meet with the full ingest: a global
-# added or retyped, a function added or given another arity, a
-# cross-file callee's ``requires`` changed, a procedure another file
-# calls removed, and a procedure defined twice.  Each op is (kind, k);
-# k picks the file, the line or the variable, so an op sequence is
-# deterministic on the current tree.
+# see: a global added or retyped, a function added or given another
+# arity, a cross-file callee's ``requires`` changed, a procedure another
+# file calls removed, and a procedure defined twice.  Four more work
+# inside one file, on the declarations a column-0 ``var``, ``function``
+# or ``procedure`` line starts: reorder them, duplicate one (an error
+# for a procedure), and comment one out with ``//`` lines or with a
+# ``/* */`` block, which spans the line that starts it.  Each op is
+# (kind, k); k picks the file, the declaration, the line or the
+# variable, so an op sequence is deterministic on the current tree.
 
 OPS = ("comment", "rename", "dead", "delete", "move",
-       "global", "arity", "requires", "uncall", "twice")
+       "global", "arity", "requires", "uncall", "twice",
+       "reorder", "duplicate", "comment_out", "block_out")
+
+#: A line that starts a declaration, cut before as the ingest cuts.
+_DECL_LINE = re.compile(r"^(?=(?:var|function|procedure)\b)", re.M)
 
 #: ``op -> (declaration, its other form)``: the toggles of the global
 #: and the function ops (added when the file declares neither form).
@@ -323,7 +341,23 @@ def _apply(repo: Path, op: str, k: int) -> None:
         return
     path = files[k % len(files)]
     text = path.read_text()
-    if op in _TOGGLES:
+    head, *decls = _DECL_LINE.split(text)
+    if op in ("reorder", "duplicate", "comment_out", "block_out"):
+        if not decls:
+            return
+        i = k % len(decls)
+        decl = decls[i] if decls[i].endswith("\n") else decls[i] + "\n"
+        if op == "reorder":
+            decls = decls[i:] + decls[:i]
+        elif op == "duplicate":
+            decls[i:i + 1] = [decl, decl]
+        elif op == "comment_out":
+            decls[i] = "".join(f"// {line}"
+                               for line in decl.splitlines(keepends=True))
+        else:
+            decls[i] = f"/*\n{decl}*/\n"
+        path.write_text(head + "".join(decls))
+    elif op in _TOGGLES:
         one, other = _TOGGLES[op]
         if one in text:
             path.write_text(text.replace(one, other))
@@ -373,7 +407,7 @@ def _apply(repo: Path, op: str, k: int) -> None:
 @pytest.fixture(scope="module")
 def warm_fixture(tmp_path_factory):
     """A cold ``run_ci`` over the fixture: its manifest and its cache
-    (analysis and declaration records), copied into every example."""
+    of analysis records, copied into every example."""
     base = tmp_path_factory.mktemp("warm")
     repo = base / "repo"
     shutil.copytree(FIXTURE, repo)
@@ -392,23 +426,24 @@ def test_warm_ingest_equals_cold_under_edits(warm_fixture, ops):
         shutil.copytree(FIXTURE, repo)
         cache = tmp / "cache"
         shutil.copytree(warm_fixture / "cache", cache)
-        for manifest in ("a.json", "b.json"):
-            shutil.copyfile(warm_fixture / "m.json", tmp / manifest)
+        shutil.copyfile(warm_fixture / "m.json", tmp / "a.json")
+        manifest = json.loads((warm_fixture / "m.json").read_text())
+        del manifest["decls"]
+        (tmp / "b.json").write_text(json.dumps(manifest))
         for op, k in ops:
             _apply(repo, op, k)
 
         # The same manifest, delta and plan, or the same IngestError,
-        # with the declaration records as without them: run a may take
-        # the fast path against the fixture's manifest; run b starts
-        # from the same manifest with only the analysis records run a
-        # left, so it parses every file and is served a's analyses.  A
-        # served procedure's manifest ``wall`` is its own lookup time,
-        # so the comparison leaves walls out (a known defect, pinned in
-        # tests/core/test_incremental.py).
+        # with the manifest's declaration index as without it: run a
+        # may take the fast path against the fixture's manifest; run b
+        # starts from the same manifest with the index removed and the
+        # analysis records run a left, so it parses every file and is
+        # served a's analyses.  A served procedure's manifest ``wall``
+        # is its own lookup time, so the comparison leaves walls out (a
+        # known defect, pinned in tests/core/test_incremental.py).
         a = _ci_or_error(repo, tmp / "a.json", cache)
         b_cache = tmp / "b-cache"
-        shutil.copytree(cache, b_cache,
-                        ignore=shutil.ignore_patterns("decls"))
+        shutil.copytree(cache, b_cache)
         b = _ci_or_error(repo, tmp / "b.json", b_cache)
         if isinstance(b, IngestError):
             assert isinstance(a, IngestError) and str(a) == str(b)

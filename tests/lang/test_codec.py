@@ -1,5 +1,4 @@
-"""The AST JSON codec behind declaration and analysis records
-(`repro.lang.codec`).
+"""The AST JSON codec behind analysis records (`repro.lang.codec`).
 
 Round trips go through ``json.dumps(..., sort_keys=True)``, as the cache
 writes records, and compare ``repr``: ``==`` on a dataclass ignores
@@ -17,7 +16,7 @@ from repro.frontend.lower import compile_c
 from repro.fuzz import gen
 from repro.fuzz.gen import generate_program
 from repro.lang import ast, parse_program, typecheck
-from repro.lang.codec import NODES, decode, decode_program_lazily, encode
+from repro.lang.codec import NODES, decode, encode
 from repro.scenarios.classes import ALL_CLASSES
 
 LOWERING = Path(__file__).resolve().parents[1] / "fixtures" / "lowering"
@@ -72,8 +71,6 @@ def test_decoder_builds_only_ast_nodes():
                 {"dict": [["a", 1, 2]]}, {"dict": ["ab"]}):
         with pytest.raises(ValueError):
             decode(bad)
-    with pytest.raises(ValueError, match="Program"):
-        decode_program_lazily(encode(ast.VarExpr("x")))
 
 
 def test_encoder_rejects_values_the_ast_does_not_hold():

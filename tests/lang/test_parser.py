@@ -208,6 +208,27 @@ class TestErrors:
             parse_program(src)
         assert "ASCII digits" in str(exc.value)
 
+    @pytest.mark.parametrize("src,message", [
+        ("procedure f() { A1: assert 1 == 2; }\n"
+         "procedure f() { A2: assert 1 == 1; }",
+         "procedure 'f' declared twice, again at line 2"),
+        ("var g: int;\nvar h: int;\nvar g: [int]int;",
+         "global 'g' redeclared as [int]int, not int, at line 3"),
+        ("function f(int): int;\nfunction f(int, int): int;",
+         "function 'f' redeclared with arity 2, not 1, at line 2"),
+    ], ids=["procedure", "global", "function"])
+    def test_redefinition_names_its_line(self, src, message):
+        # the last definition used to win silently
+        with pytest.raises(ParseError) as exc:
+            parse_program(src)
+        assert str(exc.value) == message
+
+    def test_identical_redeclaration_is_legal(self):
+        # as merging two files that declare it allows
+        p = parse_program("var g: int; function f(int): int;\n"
+                          "var g: int; function f(int): int;")
+        assert (p.globals, p.functions) == ({"g": Type.INT}, {"f": 1})
+
     def test_two_procedures_rejected_by_parse_procedure(self):
         with pytest.raises(ParseError):
             parse_procedure("procedure A() {skip;} procedure B() {skip;}")

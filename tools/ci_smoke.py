@@ -6,16 +6,17 @@ over the committed fixture repository and asserts the contract the
 mode is sold on:
 
 1. a **cold sweep** analyzes every procedure;
-2. a **no-edit re-run** analyzes *nothing*, parses no file and
-   decodes no stub (every file's digest matches the manifest, so its
-   declaration record stands in for it), renders a byte-stable warning
-   delta and rewrites the manifest byte for byte;
+2. a **no-edit re-run** analyzes *nothing* and parses no file and no
+   declaration (every file's digest matches the manifest, whose index
+   stands in for it), renders a byte-stable warning delta and rewrites
+   the manifest byte for byte;
 3. a **scripted one-procedure edit** (a failing assert appended to
    ``Release`` in ``alloc.bpl``) dirties *exactly* that procedure —
-   its caller ``Main``, in ``main.bpl``, stays clean — re-parses only
-   ``alloc.bpl``, decodes the stubs of exactly the procedures of other
-   files that ``alloc.bpl`` calls, and leaves no ``parse/`` directory
-   in the cache: declaration records are the only per-file records;
+   its caller ``Main``, in ``main.bpl``, stays clean — splits only
+   ``alloc.bpl`` and parses only ``Release``'s declaration (it calls
+   nothing, so no stub is parsed), and leaves neither a ``parse/`` nor
+   a ``decls/`` directory in the cache: it holds analysis records
+   only;
 4. the re-run's delta matches the committed golden byte-for-byte
    (``tests/fixtures/ci_repo_golden_delta.json``);
 5. the re-run's wall time is at most 25% of the cold sweep's;
@@ -42,8 +43,6 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.incremental import render_delta, run_ci  # noqa: E402
-from repro.frontend.ingest import ingest_directory  # noqa: E402
-from repro.lang.ast import stmt_callees  # noqa: E402
 
 FIXTURE = REPO / "tests" / "fixtures" / "ci_repo"
 GOLDEN = REPO / "tests" / "fixtures" / "ci_repo_golden_delta.json"
@@ -101,10 +100,10 @@ def run_api_cycle(jobs: int) -> None:
     idle2 = run_ci(repo, manifest, jobs=jobs, cache_dir=cache)
     check(render_delta(idle.delta) == render_delta(idle2.delta),
           "delta report is byte-stable across identical runs")
-    check(idle.stats["stubs_decoded"] == idle2.stats["stubs_decoded"] == 0,
-          "no-edit re-runs decode no stub",
-          f"stubs_decoded={idle.stats['stubs_decoded']}, "
-          f"{idle2.stats['stubs_decoded']}")
+    check(idle.stats["decls_parsed"] == idle2.stats["decls_parsed"] == 0,
+          "no-edit re-runs parse no declaration",
+          f"decls_parsed={idle.stats['decls_parsed']}, "
+          f"{idle2.stats['decls_parsed']}")
     check(cold_bytes == idle_bytes == manifest.read_bytes(),
           "no-edit re-runs rewrite the manifest byte for byte")
 
@@ -121,17 +120,11 @@ def run_api_cycle(jobs: int) -> None:
           f"{CALLER}, {EDITED_PROC}'s caller in another file, stays clean",
           f"{CALLER} is {rerun.plan.classes.get(CALLER)}")
     check(rerun.stats["files_parsed"] == 1,
-          f"re-run parses only {EDIT_FILE}",
+          f"re-run splits only {EDIT_FILE}",
           f"files_parsed={rerun.stats['files_parsed']}")
-    full = ingest_directory(repo)
-    own = {n for n, rel in full.proc_files.items() if rel == EDIT_FILE}
-    calls = {callee for n in own
-             if full.program.procedures[n].body is not None
-             for callee in stmt_callees(full.program.procedures[n].body)}
-    check(rerun.stats["stubs_decoded"] == len(calls - own),
-          f"re-run decodes the stubs of exactly what {EDIT_FILE} calls "
-          f"in other files", f"stubs_decoded="
-          f"{rerun.stats['stubs_decoded']}, calls {sorted(calls - own)}")
+    check(rerun.stats["decls_parsed"] == 1,
+          f"re-run parses only {EDITED_PROC}'s declaration (it calls "
+          f"nothing)", f"decls_parsed={rerun.stats['decls_parsed']}")
     golden = GOLDEN.read_text()
     check(render_delta(rerun.delta) == golden,
           "delta matches the committed golden")
@@ -139,8 +132,9 @@ def run_api_cycle(jobs: int) -> None:
     check(ratio <= 0.25, "incremental wall <= 25% of cold sweep",
           f"cold {cold_wall:.3f}s, re-run {rerun_wall:.3f}s "
           f"({ratio:.0%})")
-    check(not (Path(cache) / "parse").exists(),
-          "the cache holds no parse/ directory")
+    check(not (Path(cache) / "parse").exists()
+          and not (Path(cache) / "decls").exists(),
+          "the cache holds no parse/ or decls/ directory")
 
 
 def run_cli_cycle() -> None:
