@@ -15,6 +15,7 @@ pruning.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Sequence
 
 from ..lang.ast import Formula, mk_and, mk_not, mk_or, TRUE
 
@@ -39,18 +40,10 @@ def clause_set_formula(clauses: ClauseSet, preds: list[Formula]) -> Formula:
     return mk_and(*(clause_formula(c, preds) for c in ordered))
 
 
-def maximal_clause_from_model(model: dict[int, bool],
-                              index_of_var: dict[int, int]) -> QClause:
-    """Negate an ALL-SAT assignment over Q into a maximal clause.
-
-    ``model`` maps SAT variables to values; ``index_of_var`` maps those
-    variables to 1-based predicate indices.
-    """
-    lits = []
-    for var, value in model.items():
-        idx = index_of_var[var]
-        lits.append(-idx if value else idx)
-    return frozenset(lits)
+def maximal_clause_from_model(values: Sequence[bool]) -> QClause:
+    """Negate an ALL-SAT projection over Q into a maximal clause:
+    ``values[i]`` is whether predicate ``Q[i]`` holds in the model."""
+    return frozenset(-(i + 1) if v else i + 1 for i, v in enumerate(values))
 
 
 def is_tautology(clause: QClause) -> bool:

@@ -14,32 +14,22 @@ incremental solver stays clean for the subsequent Dead/Fail queries.
 
 from __future__ import annotations
 
-from ..lang.ast import Formula
 from ..smt.allsat import all_sat
-from .clauses import ClauseSet
+from .clauses import ClauseSet, maximal_clause_from_model
 from .deadfail import DeadFailOracle
 
 
 def predicate_cover(oracle: DeadFailOracle,
                     model_limit: int = 4096) -> ClauseSet:
-    """``PredicateCover_Q(pr)`` as a set of maximal Q-clauses."""
+    """``PredicateCover_Q(pr)`` as a set of maximal Q-clauses.  Every
+    enumerated cube is realizable, so it also joins ``oracle.seen``."""
     enc = oracle.enc
-    preds = oracle.preds
-    pred_lits = [oracle.pred_lit(i) for i in range(len(preds))]
-    index_of_var = {abs(lit): i + 1 for i, lit in enumerate(pred_lits)}
-    negate = {abs(lit): lit < 0 for lit in pred_lits}
+    pred_lits = oracle.pred_lits()
     vc = enc.vc_lit()
     guard = enc.solver.new_indicator()
     oracle.budget.check()
     models = all_sat(enc.solver, pred_lits, assumptions=[guard, vc],
                      limit=model_limit, block_guard=guard)
-    clauses = set()
-    for model in models:
-        lits = []
-        for var, value in model.items():
-            if negate.get(var, False):
-                value = not value
-            idx = index_of_var[var]
-            lits.append(-idx if value else idx)
-        clauses.add(frozenset(lits))
-    return frozenset(clauses)
+    for values in models:
+        oracle.see(values)
+    return frozenset(maximal_clause_from_model(values) for values in models)

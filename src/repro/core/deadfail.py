@@ -150,6 +150,27 @@ def memo_store(key: tuple, value, cache=None) -> None:
         cache.store_analysis(key, value)
 
 
+#: The most predicates a display-cleanup question may leave free and
+#: still have its counter-cubes listed: 2**12 cubes, as many as the
+#: cover's ALL-SAT may enumerate (`repro.core.cover.predicate_cover`).
+#: Only a vocabulary above the default ``max_preds`` of 12 asks a wider
+#: question, whose listing would grow as 2**|Q| and ignore the budget.
+_LISTED_PREDS = 12
+
+
+def _masks(clause: QClause) -> tuple[int, int]:
+    """The cube masks of a Q-clause's positive and negative literals: a
+    cube satisfies the clause iff it shares a bit with the first or
+    misses one of the second."""
+    pos = neg = 0
+    for lit in clause:
+        if lit > 0:
+            pos |= 1 << (lit - 1)
+        else:
+            neg |= 1 << (-lit - 1)
+    return pos, neg
+
+
 class DeadFailOracle:
     def __init__(self, enc: EncodedProcedure, preds: list[Formula],
                  budget: Budget | None = None,
@@ -166,7 +187,12 @@ class DeadFailOracle:
         self._clause_ind: dict[QClause, int] = {}
         self._fail_cache: dict[ClauseSet, frozenset] = {}
         self._dead_cache: dict[ClauseSet, frozenset] = {}
-        self._entail_cache: dict[tuple, bool] = {}
+        # Cubes over Q (bit i set iff ``preds[i]`` holds at entry) that
+        # some entry state realizes, and cubes that none does; they
+        # decide most questions of the display cleanup (:meth:`_entails`).
+        self._pred_lits: list[int] | None = None
+        self.seen: set[int] = set()
+        self.empty: set[int] = set()
         self.queries = 0
         self.fail_queries = 0
         self.dead_queries = 0
@@ -201,11 +227,30 @@ class DeadFailOracle:
     def _check(self, assumptions: list[int]) -> str:
         self.budget.check()
         self.queries += 1
-        return self.enc.solver.check(assumptions)
+        answer = self.enc.solver.check(assumptions)
+        if answer == "sat" and self._pred_lits is not None:
+            value = self.enc.solver.sat.value
+            self.see(value(lit) is True for lit in self._pred_lits)
+        return answer
 
-    def pred_lit(self, idx: int) -> int:
-        """SAT literal equivalent to predicate ``preds[idx]`` at entry."""
-        return self.enc.spec_indicator(self.preds[idx])
+    def pred_lits(self) -> list[int]:
+        """The SAT literals equivalent to Q's predicates at entry, in
+        ``preds`` order.  Built once: `repro.smt.api.Solver.lit_for`
+        backjumps to level 0, which wipes the model that :meth:`_check`
+        reads through these literals after each ``sat`` answer."""
+        if self._pred_lits is None:
+            self._pred_lits = [self.enc.spec_indicator(p)
+                               for p in self.preds]
+        return self._pred_lits
+
+    def see(self, values) -> None:
+        """Record a cube that some entry state realizes: ``values`` says,
+        in ``preds`` order, which predicates hold in a model behind a
+        ``sat`` answer.
+        Tseitin defines every literal both ways, and the solver only
+        gains guarded, defining or implied clauses, so that model
+        extends to one of every constraint set the solver will hold."""
+        self.seen.add(sum(1 << i for i, v in enumerate(values) if v))
 
     def clause_ind(self, clause: QClause) -> int:
         """Indicator literal asserting the Q-clause at the entry state."""
@@ -432,15 +477,18 @@ class DeadFailOracle:
 
         Purely propositional normalization (§4.3) cannot exploit *theory*
         facts (e.g. that the cube ``c == buf && Freed[c] == 0 &&
-        Freed[buf] != 0`` is empty).  Two solver-backed passes, iterated
-        to fixpoint, recover the compact forms the paper displays (the
-        Figure 1 spec prints as the three conjuncts
+        Freed[buf] != 0`` is empty).  Two entailment-backed passes,
+        iterated to fixpoint, recover the compact forms the paper
+        displays (the Figure 1 spec prints as the three conjuncts
         ``!Freed[c] && !Freed[buf] && c != buf``):
 
         1. *literal minimization* — replace a clause by a sub-clause the
            whole set already entails;
         2. *redundant-clause elimination* — drop clauses entailed by the
            remaining ones.
+
+        Each entailment is decided as :meth:`_entails` says: from the
+        cubes the analysis has seen, or else by one solver check.
         """
         current = frozenset(clauses)
         for _ in range(8):
@@ -452,23 +500,55 @@ class DeadFailOracle:
         return current
 
     def _entails(self, clauses, sub_clause) -> bool:
-        """Does the clause set entail the (sub-)clause?  Memoized: the
-        fixpoint iteration of :meth:`simplify_clauses` re-asks the same
-        entailments round after round."""
-        key = (frozenset(clauses), frozenset(sub_clause))
-        hit = self._entail_cache.get(key)
-        if hit is not None:
-            self.cache_hits += 1
-            return hit
+        """Do the solver's constraints and ``clauses`` entail the
+        (sub-)clause?
+
+        The question mentions only Q's entry predicates, so its
+        *counter-cubes* decide it: the cubes that satisfy every clause
+        and falsify ``sub_clause``.  The entailment holds iff no entry
+        state realizes one of them.  A counter-cube in ``seen`` refutes
+        it, and it holds when every counter-cube is in ``empty``; each
+        counts one ``queries_saved``.  Otherwise one solver check
+        decides, and its answer joins the sets: a ``sat`` model's cube,
+        one of the counter-cubes, goes to ``seen`` (:meth:`_check`), and
+        an ``unsat`` answer puts every counter-cube in ``empty``.  So a
+        repeated question never reaches the solver.
+
+        A question that leaves more than :data:`_LISTED_PREDS`
+        predicates free goes to the solver unlisted.
+        """
+        lits = self.pred_lits()
+        pos, neg = _masks(sub_clause)
+        free = ((1 << len(lits)) - 1) & ~(pos | neg)
+        tautology = pos & neg  # no cube falsifies ``sub_clause``
+        listed = not tautology and free.bit_count() <= _LISTED_PREDS
+        unknown = []  # the counter-cubes in neither set
+        if listed:
+            masks = [_masks(c) for c in clauses]
+            # Fix ``sub_clause``'s predicates false and list the rest.
+            rest = free
+            while True:
+                cube = neg | rest
+                if all(cube & p or n & ~cube for p, n in masks):
+                    if cube in self.seen:
+                        self.queries_saved += 1
+                        return False
+                    if cube not in self.empty:
+                        unknown.append(cube)
+                if not rest:
+                    break
+                rest = (rest - 1) & free
+        if not unknown and (listed or tautology):
+            self.queries_saved += 1
+            return True
         assumptions = [self.clause_ind(c) for c in clauses]
         for lit in sub_clause:
-            p = self.pred_lit(abs(lit) - 1)
+            p = lits[abs(lit) - 1]
             assumptions.append(-p if lit > 0 else p)
-        self.budget.check()
-        self.queries += 1
-        result = self.enc.solver.check(assumptions) == "unsat"
-        self._entail_cache[key] = result
-        return result
+        if self._check(assumptions) == "sat":
+            return False
+        self.empty.update(unknown)
+        return True
 
     def _minimize_literals(self, clauses: ClauseSet) -> ClauseSet:
         out: set[QClause] = set()

@@ -125,17 +125,31 @@ def config_fingerprint(config: AbstractionConfig, *, prune_k: int | None,
 
 def load_manifest(path: str | os.PathLike) -> dict | None:
     """The previous run's manifest, or ``None`` when it is missing,
-    unreadable, or of the wrong schema — all of which simply mean a
-    cold sweep, never an error."""
+    unreadable, of the wrong schema, or holds a procedure entry of the
+    wrong shape — all of which simply mean a cold sweep, never an
+    error."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError):
         return None
     if not isinstance(data, dict) or data.get("schema") != MANIFEST_SCHEMA:
         return None
-    if not isinstance(data.get("procedures"), dict):
+    procedures = data.get("procedures")
+    if not isinstance(procedures, dict) or \
+            not all(map(_well_formed, procedures.values())):
         return None
     return data
+
+
+def _well_formed(entry) -> bool:
+    """Does a manifest's procedure entry hold the fields that planning
+    and the warning delta read, in the types :func:`run_ci` writes?
+    (Written out field by field: every warm run checks every entry.)"""
+    return (isinstance(entry, dict)
+            and isinstance(entry.get("surface_fp"), str)
+            and isinstance(entry.get("wall"), (int, float))
+            and isinstance(entry.get("warnings"), list)
+            and isinstance(entry.get("conservative_warnings"), list))
 
 
 def save_manifest(path: str | os.PathLike, manifest: dict) -> None:

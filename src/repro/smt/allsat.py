@@ -1,7 +1,7 @@
 """ALL-SAT enumeration projected onto an indicator literal set.
 
 Used by the predicate-cover computation (§4.1 of the paper): enumerate all
-assignments over the predicate indicator variables that can be extended to
+assignments over the predicate indicator literals that can be extended to
 a model of the formula, blocking each projected assignment as it is found.
 
 The number of projected models is at most ``2**len(indicators)``; the
@@ -24,32 +24,32 @@ class AllSatBudgetExceeded(Exception):
 def all_sat(solver: Solver, indicators: Sequence[int],
             assumptions: Sequence[int] = (),
             limit: int = 4096,
-            block_guard: int | None = None) -> list[dict[int, bool]]:
+            block_guard: int | None = None) -> list[tuple[bool, ...]]:
     """Enumerate projections of models onto ``indicators``.
 
-    Each returned dict maps indicator variable -> bool.  Blocking clauses
-    are added to the solver permanently; pass ``block_guard`` (a literal
-    that must then also appear in ``assumptions``) to confine the blocking
-    clauses to this query so the solver stays reusable afterwards.
+    Each returned tuple holds, in the order of ``indicators``, the value
+    each indicator *literal* takes in one model, so a negative literal
+    reads True when its variable is false.  Every model is one the solver
+    answered ``sat`` for, so each tuple is realizable under the solver's
+    constraints and ``assumptions``.  Blocking clauses are added to the
+    solver permanently; pass ``block_guard`` (a literal that must then
+    also appear in ``assumptions``) to confine the blocking clauses to
+    this query so the solver stays reusable afterwards.
     """
-    models: list[dict[int, bool]] = []
+    models: list[tuple[bool, ...]] = []
     while True:
         if solver.check(assumptions) == "unsat":
             return models
-        proj: dict[int, bool] = {}
-        blocking: list[int] = []
-        for ind in indicators:
-            raw = solver.sat.value(ind)
-            # Indicators are ordinary variables, so a full SAT assignment
-            # always covers them; treat a (theoretically impossible)
-            # unassigned indicator as False.
-            value = raw is True
-            proj[abs(ind)] = value
-            blocking.append(-ind if value else ind)
-        models.append(proj)
+        # Indicators are ordinary variables, so a full SAT assignment
+        # always covers them; treat a (theoretically impossible)
+        # unassigned indicator as False.
+        values = tuple(solver.sat.value(ind) is True for ind in indicators)
+        models.append(values)
         if len(models) > limit:
             raise AllSatBudgetExceeded(
                 f"more than {limit} projected models")
+        blocking = [-ind if value else ind
+                    for ind, value in zip(indicators, values)]
         if block_guard is not None:
             blocking.append(-block_guard)
         solver.add_clause_lits(blocking)

@@ -36,8 +36,7 @@ class TestFormulas:
 class TestModelNegation:
     def test_negates_assignment(self):
         # model: p1=True, p2=False -> clause (!p1 | p2)
-        clause = maximal_clause_from_model({10: True, 11: False},
-                                           {10: 1, 11: 2})
+        clause = maximal_clause_from_model((True, False))
         assert clause == frozenset({-1, 2})
 
 

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.core import A1, CONC, find_abstract_sibs
 from repro.core.clauses import all_maximal_clauses
 from repro.core.cover import predicate_cover
 from repro.core.deadfail import AnalysisTimeout, Budget, DeadFailOracle
 from repro.core.predicates import mine_predicates
-from repro.lang.ast import TRUE, IntLit, RelExpr, VarExpr
+from repro.lang.ast import TRUE, AndExpr, IntLit, NotExpr, OrExpr, \
+    RelExpr, VarExpr
 from repro.lang.parser import parse_program
+from repro.lang.pretty import pp_formula
 from repro.lang.transform import prepare_procedure
 from repro.lang.typecheck import typecheck
 from repro.vc.encode import EncodedProcedure
@@ -162,3 +165,52 @@ class TestPredicateCover:
         oracle._fail_cache.clear()
         after = oracle.fail_set_formula(TRUE)
         assert before == after
+
+
+BARE = """
+function ok(int): int;
+procedure f(p: int) { assert ok(p); }
+procedure g(p: int) { if (ok(p)) { assert p > 0; } else { assert p < 0; } }
+"""
+EXPLICIT = """
+function ok(int): int;
+procedure f(p: int) { assert ok(p) != 0; }
+procedure g(p: int) {
+  if (ok(p) != 0) { assert p > 0; } else { assert p < 0; }
+}
+"""
+
+
+def spec_clauses(fm) -> set:
+    """A spec formula as a set of clauses of (atom, polarity) literals,
+    with ``ok(p) == 0`` read as the negation of the bare ``ok(p)``."""
+    out = set()
+    for clause in fm.args if isinstance(fm, AndExpr) else (fm,):
+        lits = set()
+        for lit in clause.args if isinstance(clause, OrExpr) else (clause,):
+            positive = True
+            while isinstance(lit, NotExpr):
+                lit, positive = lit.arg, not positive
+            atom = pp_formula(lit)
+            if atom == "ok(p) == 0":
+                atom, positive = "ok(p)", not positive
+            lits.add((atom, positive))
+        out.add(frozenset(lits))
+    return out
+
+
+@pytest.mark.parametrize("config", [CONC, A1], ids=lambda c: c.name)
+@pytest.mark.parametrize("proc", ["f", "g"])
+def test_bare_application_covers_like_its_comparison(proc, config):
+    """``assert ok(p)`` encodes as ``ok(p) != 0``, whose literal is the
+    negation of an equality's, so a negative predicate literal must
+    project to the predicate's own value, as the comparison's does."""
+    bare, explicit = (
+        find_abstract_sibs(typecheck(parse_program(src)), proc,
+                           config=config)
+        for src in (BARE, EXPLICIT))
+    assert bare.status == explicit.status
+    assert bare.warnings == explicit.warnings
+    assert bare.conservative_warnings == explicit.conservative_warnings
+    assert [spec_clauses(fm) for fm in bare.spec_formulas] == \
+        [spec_clauses(fm) for fm in explicit.spec_formulas]

@@ -1,4 +1,5 @@
-"""The monotonicity-aware oracle fast paths (and the Budget helpers).
+"""The monotonicity-aware oracle fast paths, the display cleanup's cube
+sets (and the Budget helpers).
 
 The semantics guarantee, for clause sets ``c2 ⊆ c1`` over the same
 vocabulary, ``Fail(c1) ⊆ Fail(c2)`` and ``Dead(c2) ⊆ Dead(c1)``.  The
@@ -7,24 +8,29 @@ optimized oracle exploits that through explicit parent hints
 fail enumeration for Algorithm 2's ``|Fail| > MinFail`` pruning.  Every
 fast path must be invisible in the results — property-tested here against
 a hint-free oracle and against a reference (seed) implementation of the
-Algorithm-2 search.
+Algorithm-2 search.  The cleanup's cube sets are property-tested against
+an oracle that asks the solver every entailment question.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.acspec import (SearchBudgetExceeded, _spec_key,
                                find_almost_correct_specs)
-from repro.core.clauses import normalize, prune_clauses
+from repro.core.clauses import clause_set_formula, normalize, prune_clauses
 from repro.core.cover import predicate_cover
-from repro.core.deadfail import AnalysisTimeout, Budget, DeadFailOracle
+from repro.core.deadfail import (_LISTED_PREDS, AnalysisTimeout, Budget,
+                                 DeadFailOracle)
 from repro.core.predicates import mine_predicates
+from repro.lang import parse_program, typecheck
 from repro.lang.ast import (AssertStmt, AssumeStmt, IfStmt, IntLit,
-                            Procedure, Program, RelExpr, SkipStmt, Type,
-                            VarExpr, seq)
-from repro.lang.transform import instrument
+                            PredAppExpr, Procedure, Program, RelExpr,
+                            SkipStmt, Type, VarExpr, seq)
+from repro.lang.pretty import pp_formula
+from repro.lang.transform import instrument, prepare_procedure
 from repro.vc.encode import EncodedProcedure
 
 VARS = ["x", "y"]
@@ -38,6 +44,9 @@ def small_procs(draw):
 
     def cond():
         v = VarExpr(draw(st.sampled_from(VARS)))
+        if draw(st.integers(0, 4)) == 0:
+            # a bare predicate application: its SAT literal is negative
+            return PredAppExpr("ok", (v,))
         op = draw(st.sampled_from(["==", "!=", "<", "<="]))
         return RelExpr(op, v, IntLit(draw(st.integers(-1, 1))))
 
@@ -62,14 +71,14 @@ def small_procs(draw):
     return instrument(body)
 
 
-def make_oracle(body, max_preds=4):
+def make_oracle(body, max_preds=4, oracle_class=DeadFailOracle):
     var_types = {v: Type.INT for v in VARS}
     proc = Procedure(name="P", params=tuple(VARS), returns=(),
                      var_types=var_types, body=body)
-    prog = Program(procedures={"P": proc})
+    prog = Program(functions={"ok": 1}, procedures={"P": proc})
     enc = EncodedProcedure(prog, proc)
     preds = mine_predicates(prog, proc, max_preds=max_preds)
-    return DeadFailOracle(enc, preds)
+    return oracle_class(enc, preds)
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +193,116 @@ def test_search_equals_seed_reference(body, prune_k):
     # either way.  The aggregate saving is what matters and is measured
     # on the real suites (``core.deadfail.queries_saved`` in a
     # ``benchmarks/e2e/run.py --trace`` run).
+
+
+# ----------------------------------------------------------------------
+# the display cleanup vs. one solver check per question
+# ----------------------------------------------------------------------
+
+
+class CheckEveryQuestion(DeadFailOracle):
+    """The display cleanup without the cube sets: every entailment
+    question is one solver check, memoized per question."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.answers = {}
+
+    def _entails(self, clauses, sub_clause):
+        key = (frozenset(clauses), frozenset(sub_clause))
+        if key not in self.answers:
+            assumptions = [self.clause_ind(c) for c in clauses]
+            for lit in sub_clause:
+                p = self.pred_lits()[abs(lit) - 1]
+                assumptions.append(-p if lit > 0 else p)
+            self.budget.check()
+            self.queries += 1
+            self.answers[key] = \
+                self.enc.solver.check(assumptions) == "unsat"
+        return self.answers[key]
+
+
+def cleaned(oracle, specs):
+    """``simplify_clauses`` of each spec, and the solver checks the
+    cleanup asked."""
+    before = oracle.queries
+    out = [oracle.simplify_clauses(spec) for spec in specs]
+    return out, oracle.queries - before
+
+
+def analysed(oracle):
+    """The cover and the specs Algorithm 2 finds, as `repro.core.sib`
+    computes them before the cleanup."""
+    cover = predicate_cover(oracle)
+    found = find_almost_correct_specs(oracle, cover)
+    return [cover, *found.raw_specs, *found.specs]
+
+
+@given(small_procs())
+@settings(max_examples=40, deadline=None)
+def test_cleanup_equals_one_check_per_question(body):
+    new = make_oracle(body)
+    ref = make_oracle(body, oracle_class=CheckEveryQuestion)
+    specs = analysed(new)
+    assert analysed(ref) == specs
+    got, asked = cleaned(new, specs)
+    want, ref_asked = cleaned(ref, specs)
+    assert got == want
+    assert asked <= ref_asked
+    # each cube the sets hold is realizable iff it is in ``seen``
+    lits = new.pred_lits()
+    for cube in new.seen | new.empty:
+        assumptions = [lit if cube >> i & 1 else -lit
+                       for i, lit in enumerate(lits)]
+        assert (new.enc.solver.check(assumptions) == "sat") == \
+            (cube in new.seen)
+
+
+def cleanups(src: str, name: str, **mine_kw):
+    """The display cleanup of ``name``'s specs with the cube sets and
+    with a solver check per question: (oracle, specs, checks) each."""
+    prog = typecheck(parse_program(src))
+    proc = prepare_procedure(prog, prog.proc(name))
+    preds = mine_predicates(prog, proc, **mine_kw)
+    runs = []
+    for oracle_class in (DeadFailOracle, CheckEveryQuestion):
+        oracle = oracle_class(EncodedProcedure(prog, proc), preds)
+        cover = predicate_cover(oracle)
+        specs = find_almost_correct_specs(oracle, cover).specs
+        runs.append((oracle, *cleaned(oracle, specs)))
+    return runs
+
+
+FIGURE1 = Path(__file__).resolve().parents[2] / "examples" / "figure1.bpl"
+
+
+def test_figure1_cleanup_prints_three_conjuncts_with_fewer_checks():
+    (new, got, asked), (_, want, ref_asked) = \
+        cleanups(FIGURE1.read_text(), "Foo")
+    assert got == want
+    assert [pp_formula(clause_set_formula(spec, new.preds))
+            for spec in got] == \
+        ["(!(buf == c) && 0 == Freed[buf] && 0 == Freed[c])"]
+    assert asked < ref_asked
+
+
+def test_wide_vocabulary_lists_at_most_2_to_the_12_cubes_a_question():
+    """Above the default ``max_preds`` a cleanup question can leave more
+    than 12 predicates free.  It goes to the solver unlisted: listing
+    grows as 2**|Q| and checks no budget (with 23 predicates, minimizing
+    ``x != 5``'s cover took 10 s against 0.2 s)."""
+    src = "procedure P(x: int) returns (y: int) {\n  A1: assert x != 5;\n"
+    src += "".join(f"  if (x == {k}) {{ y := {k}; }}\n"
+                   for k in range(16) if k != 5) + "}\n"
+    (new, got, asked), (_, want, ref_asked) = \
+        cleanups(src, "P", max_preds=30)
+    assert len(new.preds) == 16
+    assert got == want
+    assert [pp_formula(clause_set_formula(spec, new.preds))
+            for spec in got] == ["!(5 == x)"]
+    assert asked <= ref_asked
+    # listing every question would put 2**15 - 1 cubes in ``empty``
+    assert len(new.empty) < 2 ** (_LISTED_PREDS + 1)
 
 
 # ----------------------------------------------------------------------

@@ -496,6 +496,34 @@ class TestManifestIO:
         path.write_text(json.dumps({"schema": 999, "procedures": {}}))
         assert load_manifest(path) is None
 
+    @pytest.mark.parametrize("field, value", [
+        (None, 1), (None, ["Clamp"]), ("surface_fp", 7), ("wall", "slow"),
+        ("warnings", 3), ("conservative_warnings", "A1")])
+    def test_malformed_entry_reads_as_cold(self, tmp_path, field, value):
+        """A procedure entry of the wrong shape, or with a field the
+        planner or the warning delta reads of the wrong type, makes the
+        next run cold, with the outputs of a run with no manifest."""
+        repo = make_repo(tmp_path)
+        path = tmp_path / "m.json"
+        manifest = run_ci(repo, path).manifest
+        if field is None:
+            manifest["procedures"]["Clamp"] = value
+        else:
+            manifest["procedures"]["Clamp"][field] = value
+        save_manifest(path, manifest)
+        assert load_manifest(path) is None
+        rerun = run_ci(repo, path)
+        fresh = run_ci(repo, None)
+        assert rerun.plan.reason == "cold"
+        assert rerun.plan.order == fresh.plan.order
+        assert _without_walls(rerun.manifest) == \
+            _without_walls(fresh.manifest)
+        assert rerun.delta == fresh.delta
+        assert {n: (r.status, r.warnings, r.specs)
+                for n, r in rerun.reports.items()} == \
+            {n: (r.status, r.warnings, r.specs)
+             for n, r in fresh.reports.items()}
+
     def test_delta_against_no_previous_is_all_new(self, tmp_path):
         repo = make_repo(tmp_path)
         result = run_ci(repo, tmp_path / "m.json")

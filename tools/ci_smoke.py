@@ -74,8 +74,7 @@ def apply_edit(repo: Path) -> None:
     src.write_text(text.replace(EDIT_OLD, EDIT_NEW))
 
 
-def run_api_cycle(jobs: int) -> None:
-    tmp = Path(tempfile.mkdtemp(prefix="ci-smoke-"))
+def run_api_cycle(jobs: int, tmp: Path) -> None:
     repo = tmp / "repo"
     shutil.copytree(FIXTURE, repo)
     manifest = tmp / "manifest.json"
@@ -137,11 +136,10 @@ def run_api_cycle(jobs: int) -> None:
           "the cache holds no parse/ or decls/ directory")
 
 
-def run_cli_cycle() -> None:
+def run_cli_cycle(tmp: Path) -> None:
     """The same cycle through the ``repro ci`` verb: dirty-set line,
     golden delta via --delta-out, and the exit-code contract (1 when
     new warnings appeared, 0 when nothing regressed)."""
-    tmp = Path(tempfile.mkdtemp(prefix="ci-smoke-cli-"))
     repo = tmp / "repo"
     shutil.copytree(FIXTURE, repo)
     args = ["--manifest", str(tmp / "manifest.json"),
@@ -176,8 +174,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
 
-    run_api_cycle(args.jobs)
-    run_cli_cycle()
+    # each cycle works in its own temporary directory, removed on exit
+    # whether the cycle passed, failed or raised
+    with tempfile.TemporaryDirectory(prefix="ci-smoke-") as api_tmp, \
+            tempfile.TemporaryDirectory(prefix="ci-smoke-cli-") as cli_tmp:
+        run_api_cycle(args.jobs, Path(api_tmp))
+        run_cli_cycle(Path(cli_tmp))
 
     if _failures:
         print(f"ci_smoke: {_failures} check(s) FAILED", file=sys.stderr)

@@ -73,8 +73,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--timeout", type=float, default=30.0,
                     help="per-procedure timeout in seconds (default 30)")
     args = ap.parse_args(argv)
+    # the socket and the suite sources live in a temporary directory,
+    # removed on exit whether the smoke passed or failed
+    with tempfile.TemporaryDirectory(prefix="serve_smoke_") as tmp:
+        return smoke(args, Path(tmp))
 
-    tmp = Path(tempfile.mkdtemp(prefix="serve_smoke_"))
+
+def smoke(args: argparse.Namespace, tmp: Path) -> int:
     sock = str(tmp / "serve.sock")
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--socket", sock,
